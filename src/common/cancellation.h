@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -15,7 +16,7 @@ namespace ppc {
 
 /// Cooperative cancellation + deadline handle shared by everything that
 /// can block on a session's behalf: the schedule executors check it
-/// between steps, blocking receives poll it while waiting, and
+/// between steps, blocking receives park on it, and
 /// `SessionRegistry::CancelSession` trips it to reclaim a wedged worker.
 ///
 /// Semantics:
@@ -23,11 +24,13 @@ namespace ppc {
 ///     non-OK reason is the one every later `Check()` reports.
 ///   * `ArmDeadline(ms)` sets an absolute steady-clock deadline `ms`
 ///     from now (0 = no deadline). Once it passes, `Check()` returns
-///     `kDeadlineExceeded` — the token does not need a watcher thread;
-///     pollers discover expiry themselves.
+///     `kDeadlineExceeded` — the token needs no watcher thread: a
+///     blocked waiter sleeps no later than `deadline()`.
 ///   * `Check()` is cheap on the happy path (two relaxed atomic loads)
-///     so it is safe to call per schedule step and per receive wait
-///     slice.
+///     so it is safe to call per schedule step and per receive wake.
+///   * A blocked waiter registers a `Waker` for as long as it is parked.
+///     `Cancel` and `SetDeadline` run every registered waker, so the
+///     waiter re-checks at once instead of sleeping until a timeout.
 ///
 /// Thread-safe. The token is plain shared state: the owner keeps it
 /// alive for the duration of the run (parties and transports only hold
@@ -38,18 +41,58 @@ class CancelToken {
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 
+  /// Registers `wake` with a token for the Waker's lifetime (a null
+  /// token registers nothing). `wake` runs on the cancelling thread,
+  /// under the token's waker lock: it may take the waiter's own lock, so
+  /// the waiter must construct the Waker before taking that lock and
+  /// destroy it after releasing it. Destruction waits out a running
+  /// `wake`, so whatever `wake` captures only has to outlive the Waker.
+  class Waker {
+   public:
+    Waker(const CancelToken* token, std::function<void()> wake)
+        : token_(token), wake_(std::move(wake)) {
+      if (token_ == nullptr) return;
+      MutexLock lock(token_->wakers_mutex_);
+      next_ = token_->wakers_;
+      if (next_ != nullptr) next_->prev_ = this;
+      token_->wakers_ = this;
+    }
+    ~Waker() {
+      if (token_ == nullptr) return;
+      MutexLock lock(token_->wakers_mutex_);
+      if (prev_ != nullptr) {
+        prev_->next_ = next_;
+      } else {
+        token_->wakers_ = next_;
+      }
+      if (next_ != nullptr) next_->prev_ = prev_;
+    }
+    Waker(const Waker&) = delete;
+    Waker& operator=(const Waker&) = delete;
+
+   private:
+    friend class CancelToken;
+    const CancelToken* token_;
+    std::function<void()> wake_;
+    // Intrusive list links, guarded by token_->wakers_mutex_.
+    Waker* prev_ = nullptr;
+    Waker* next_ = nullptr;
+  };
+
   /// Arms an absolute deadline `deadline_ms` milliseconds from now.
   /// `deadline_ms == 0` means "no deadline" and leaves the token as-is.
-  void ArmDeadline(uint64_t deadline_ms) {
+  void ArmDeadline(uint64_t deadline_ms) EXCLUDES(wakers_mutex_) {
     if (deadline_ms == 0) return;
     SetDeadline(std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(deadline_ms));
   }
 
   /// Sets an absolute steady-clock deadline.
-  void SetDeadline(std::chrono::steady_clock::time_point deadline) {
+  void SetDeadline(std::chrono::steady_clock::time_point deadline)
+      EXCLUDES(wakers_mutex_) {
     deadline_ns_.store(deadline.time_since_epoch().count(),
                        std::memory_order_release);
+    WakeAll();  // Parked waiters re-aim their timed wait.
   }
 
   bool HasDeadline() const {
@@ -66,7 +109,7 @@ class CancelToken {
   /// Trips the token. The first non-OK `reason` wins; later calls are
   /// no-ops. An OK `reason` is coerced to a generic cancellation error so
   /// a tripped token can never report success.
-  void Cancel(Status reason) EXCLUDES(reason_mutex_) {
+  void Cancel(Status reason) EXCLUDES(reason_mutex_, wakers_mutex_) {
     if (reason.ok()) {
       reason = Status::DeadlineExceeded("cancelled");
     }
@@ -78,6 +121,7 @@ class CancelToken {
       }
     }
     cancelled_.store(true, std::memory_order_release);
+    WakeAll();
   }
 
   bool Cancelled() const {
@@ -102,6 +146,16 @@ class CancelToken {
   }
 
  private:
+  /// Runs every registered waker. Called after the state change it
+  /// announces is published, so a waiter that registers later sees the
+  /// change on its own re-check and none is missed.
+  void WakeAll() const EXCLUDES(wakers_mutex_) {
+    MutexLock lock(wakers_mutex_);
+    for (Waker* waker = wakers_; waker != nullptr; waker = waker->next_) {
+      waker->wake_();
+    }
+  }
+
   static constexpr int64_t kNoDeadline =
       std::numeric_limits<int64_t>::max();
 
@@ -110,6 +164,8 @@ class CancelToken {
   mutable Mutex reason_mutex_;
   Status reason_ GUARDED_BY(reason_mutex_);
   bool reason_set_ GUARDED_BY(reason_mutex_) = false;
+  mutable Mutex wakers_mutex_;
+  mutable Waker* wakers_ GUARDED_BY(wakers_mutex_) = nullptr;
 };
 
 }  // namespace ppc

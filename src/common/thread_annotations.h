@@ -42,8 +42,9 @@
 /// ## What the analysis cannot see
 ///
 /// The analysis is per-function and lock-based. It does not model
-///   * happens-before established by `std::thread::join` / atomics
-///     (e.g. `SessionRegistry::Entry::result`),
+///   * happens-before established by `std::thread::join` / atomics,
+///   * a nested struct's field guarded by a mutex the struct cannot name
+///     (e.g. `SessionRegistry::Entry::worker`, `ChannelTransport::Queue`),
 ///   * thread confinement (e.g. `EventLoop`'s loop-thread-only state),
 ///   * condition-variable wakeup correctness (it checks that `Wait` is
 ///     called with the mutex held, not that the predicate loop is right).

@@ -1,5 +1,6 @@
 #include "core/session_registry.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ppc {
@@ -11,117 +12,115 @@ Status SessionRegistry::StartSession(const std::string& id, SessionBody body) {
         "default session)");
   }
   MutexLock lock(mutex_);
-  auto [it, inserted] = entries_.try_emplace(id);
-  if (!inserted) {
+  if (live_.count(id) != 0 || retired_.count(id) != 0) {
     return Status::AlreadyExists("session '" + id + "' already started");
   }
-  it->second = std::make_unique<Entry>();
-  Entry* entry = it->second.get();
-  entry->view = std::make_unique<SessionNetwork>(transport_, id);
-  // The worker thread must be assigned BEFORE the registry lock is
-  // released: the entry becomes findable the moment `mutex_` drops, and a
-  // concurrent WaitSession that found a default-constructed handle would
-  // see joinable()==false and return the default-OK result while the body
-  // is still running (plus an unsynchronized read of the handle itself).
-  // Lock order mutex_ -> join_mutex is deadlock-free: Join takes only
-  // join_mutex.
-  MutexLock handle_lock(entry->join_mutex);
-  entry->worker = std::thread([this, id, entry, body = std::move(body)] {
-    Status result = body(entry->view.get(), &entry->token);
-    if (!result.ok()) {
-      // A failed (or cancelled) session must not leak transport state:
-      // drop its queued frames, channel counters, nonce counters, and
-      // crypto contexts. Session ids are single-use per registry, so the
-      // purged id can never restart and reuse a (key, nonce) pair.
-      transport_->PurgeSession(id);
-    }
-    entry->result = std::move(result);
-    entry->done.store(true, std::memory_order_release);
+  auto entry = std::make_shared<Entry>(transport_, id);
+  Entry* raw = entry.get();
+  live_.emplace(id, std::move(entry));
+  // Started under `mutex_`, which the worker's Retire takes: the worker
+  // cannot move its own handle out before it is assigned here.
+  raw->worker = std::thread([this, id, raw, body = std::move(body)] {
+    Status result = body(&raw->view, &raw->token);
+    // Success or failure, the session is over: free its queues, channel
+    // counters, nonce counters and crypto contexts. The transport keeps
+    // the id retired, so it can never restart and reuse a (key, nonce)
+    // pair.
+    transport_->PurgeSession(id);
+    Retire(id, std::move(result));
   });
   return Status::OK();
 }
 
-Status SessionRegistry::CancelSession(const std::string& id, Status reason) {
-  Entry* entry = nullptr;
+void SessionRegistry::Retire(const std::string& id, Status result) {
+  std::thread previous;
   {
     MutexLock lock(mutex_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
+    retired_.emplace(id, std::move(result));
+    auto it = live_.find(id);
+    std::thread self = std::move(it->second->worker);
+    it->second->done.NotifyAll();
+    live_.erase(it);
+    previous = std::exchange(unjoined_, std::move(self));
+  }
+  // `previous` has retired too, so this join waits at most for its last
+  // few instructions (and, transitively, for the join it is doing).
+  if (previous.joinable()) previous.join();
+}
+
+Status SessionRegistry::CancelSession(const std::string& id, Status reason) {
+  std::shared_ptr<Entry> entry;
+  {
+    MutexLock lock(mutex_);
+    auto it = live_.find(id);
+    if (it == live_.end()) {
+      if (retired_.count(id) != 0) return Status::OK();
       return Status::NotFound("session '" + id + "' was never started");
     }
-    entry = it->second.get();
+    entry = it->second;
   }
   entry->token.Cancel(std::move(reason));
   return Status::OK();
 }
 
 void SessionRegistry::CancelAll(Status reason) {
-  std::vector<Entry*> live;
+  std::vector<std::shared_ptr<Entry>> live;
   {
     MutexLock lock(mutex_);
-    for (auto& [id, entry] : entries_) {
-      if (!entry->done.load(std::memory_order_acquire)) {
-        live.push_back(entry.get());
-      }
-    }
+    for (const auto& [id, entry] : live_) live.push_back(entry);
   }
-  for (Entry* entry : live) entry->token.Cancel(reason);
-}
-
-Status SessionRegistry::Join(Entry* entry) {
-  {
-    MutexLock lock(entry->join_mutex);
-    if (entry->worker.joinable()) entry->worker.join();
-  }
-  return entry->result;
+  for (const auto& entry : live) entry->token.Cancel(reason);
 }
 
 Status SessionRegistry::WaitSession(const std::string& id) {
-  Entry* entry = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
+  MutexLock lock(mutex_);
+  for (;;) {
+    auto done = retired_.find(id);
+    if (done != retired_.end()) return done->second;
+    auto it = live_.find(id);
+    if (it == live_.end()) {
       return Status::NotFound("session '" + id + "' was never started");
     }
-    entry = it->second.get();
+    std::shared_ptr<Entry> entry = it->second;
+    entry->done.Wait(mutex_);
   }
-  return Join(entry);
 }
 
 Status SessionRegistry::WaitAll() {
-  // Snapshot under the lock, join outside it: a body may StartSession.
-  std::vector<std::pair<std::string, Entry*>> entries;
+  std::thread last;
   {
     MutexLock lock(mutex_);
-    entries.reserve(entries_.size());
-    for (auto& [id, entry] : entries_) entries.emplace_back(id, entry.get());
+    // A body may start further sessions, so wait until none is live.
+    while (!live_.empty()) {
+      std::shared_ptr<Entry> entry = live_.begin()->second;
+      entry->done.Wait(mutex_);
+    }
+    last = std::move(unjoined_);
   }
-  Status first_error;
-  for (auto& [id, entry] : entries) {
-    Status status = Join(entry);
-    if (!status.ok() && first_error.ok()) {
-      first_error = Status(status.code(),
-                           "session '" + id + "': " + status.message());
+  if (last.joinable()) last.join();
+  MutexLock lock(mutex_);
+  for (const auto& [id, status] : retired_) {
+    if (!status.ok()) {
+      return Status(status.code(),
+                    "session '" + id + "': " + status.message());
     }
   }
-  return first_error;
+  return Status::OK();
 }
 
 size_t SessionRegistry::ActiveCount() const {
   MutexLock lock(mutex_);
-  size_t active = 0;
-  for (const auto& [id, entry] : entries_) {
-    if (!entry->done.load(std::memory_order_acquire)) ++active;
-  }
-  return active;
+  return live_.size();
 }
 
 std::vector<std::string> SessionRegistry::SessionIds() const {
   MutexLock lock(mutex_);
   std::vector<std::string> ids;
-  ids.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) ids.push_back(id);
+  ids.reserve(live_.size() + retired_.size());
+  for (const auto& [id, entry] : live_) ids.push_back(id);
+  for (const auto& [id, status] : retired_) ids.push_back(id);
+  // Two sorted runs.
+  std::inplace_merge(ids.begin(), ids.begin() + live_.size(), ids.end());
   return ids;
 }
 

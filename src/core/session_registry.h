@@ -1,7 +1,6 @@
 #ifndef PPC_CORE_SESSION_REGISTRY_H_
 #define PPC_CORE_SESSION_REGISTRY_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,10 +25,19 @@ namespace ppc {
 /// connections.
 ///
 /// Session ids are single-use per registry: a duplicate (or empty — that
-/// is the transport's default session) id is refused. The registry owns
-/// the views and threads; the caller guarantees the transport and
-/// whatever state the bodies capture outlive it. All methods are
-/// thread-safe.
+/// is the transport's default session) id is refused, even long after the
+/// first session with that id finished. The registry owns the views and
+/// threads; the caller guarantees the transport and whatever state the
+/// bodies capture outlive it. All methods are thread-safe.
+///
+/// State stays bounded in a long-running daemon: the moment a body
+/// returns, its worker purges the session from the transport (see
+/// `Network::PurgeSession`), drops the session's view and token, and
+/// keeps only the final Status under its id. Finished workers are joined
+/// by the next one to finish (and the last by `WaitAll`), so at most one
+/// exited thread awaits its join. Because the purge frees the whole
+/// session at this endpoint, a session must be started on exactly one
+/// registry per transport.
 class SessionRegistry {
  public:
   /// One session's whole execution, handed its session-scoped network
@@ -56,9 +64,9 @@ class SessionRegistry {
   Status StartSession(const std::string& id, SessionBody body)
       EXCLUDES(mutex_);
 
-  /// Blocks until session `id` finishes and returns its body's status
-  /// (kNotFound for an id never started). Safe to call repeatedly and
-  /// concurrently.
+  /// Blocks until session `id` finishes and returns its body's status —
+  /// also long after the session was reaped (kNotFound for an id never
+  /// started). Safe to call repeatedly and concurrently.
   Status WaitSession(const std::string& id) EXCLUDES(mutex_);
 
   /// Waits for every session; returns the first non-OK session status (in
@@ -66,48 +74,54 @@ class SessionRegistry {
   Status WaitAll() EXCLUDES(mutex_);
 
   /// Trips session `id`'s cancel token with `reason` (an OK reason is
-  /// coerced to a generic cancellation error). The session's blocking
-  /// receives and step boundaries surface the reason within one poll
-  /// slice; its worker then finishes with that status and releases the
-  /// session's queues and channel state (see the worker's purge).
-  /// kNotFound for an id never started. Does not block; pair with
+  /// coerced to a generic cancellation error). The token wakes the
+  /// session's parked receives at once and its step boundaries see the
+  /// reason; its worker then finishes with that status and the session
+  /// is purged like any other. kNotFound for an id never started; OK (and
+  /// no effect) for one that already finished. Does not block; pair with
   /// `WaitSession` to observe the actual termination.
   Status CancelSession(const std::string& id, Status reason) EXCLUDES(mutex_);
 
   /// `CancelSession` for every session not yet finished.
   void CancelAll(Status reason) EXCLUDES(mutex_);
 
-  /// Sessions started and not yet finished.
+  /// Sessions started and not yet finished. O(1).
   size_t ActiveCount() const EXCLUDES(mutex_);
 
   /// Every session id ever started, in id order.
   std::vector<std::string> SessionIds() const EXCLUDES(mutex_);
 
  private:
+  /// A running session. Shared-owned: `WaitSession` keeps it (and its
+  /// `done` CondVar) alive across a wait that outlasts the entry's place
+  /// in `live_`.
   struct Entry {
-    std::unique_ptr<SessionNetwork> view;
+    Entry(Network* transport, const std::string& id) : view(transport, id) {}
+
+    SessionNetwork view;
     /// Cancellation/deadline token of this session; handed to the body
     /// and tripped by `CancelSession`/`CancelAll`.
     CancelToken token;
-    Mutex join_mutex;  // Serializes the one join; guards the thread handle.
-    std::thread worker GUARDED_BY(join_mutex);
-    /// NOT lock-guarded on purpose: the worker writes it, and exactly the
-    /// threads that have joined the worker (under join_mutex) read it —
-    /// join() is the happens-before edge. Putting it under join_mutex
-    /// would tempt a worker-side lock, which deadlocks against Join
-    /// holding join_mutex across the join.
-    Status result;  // Valid once done is true.
-    std::atomic<bool> done{false};
+    /// Written under the registry's `mutex_` only (assigned by
+    /// `StartSession`, moved out by `Retire`); the annotation cannot name
+    /// the outer mutex.
+    std::thread worker;
+    /// Signalled, with `mutex_` held, when the session retires.
+    CondVar done;
   };
 
-  /// Joins `entry`'s worker exactly once and returns its result.
-  static Status Join(Entry* entry) EXCLUDES(entry->join_mutex);
+  /// The worker's last act: records `result` under `id`, erases the live
+  /// entry, and joins the previously finished worker.
+  void Retire(const std::string& id, Status result) EXCLUDES(mutex_);
 
   Network* transport_;
   mutable Mutex mutex_;
-  /// Entries are never erased while the registry lives, so bare pointers
-  /// taken under the lock stay valid after it is released.
-  std::map<std::string, std::unique_ptr<Entry>> entries_ GUARDED_BY(mutex_);
+  /// Running sessions.
+  std::map<std::string, std::shared_ptr<Entry>> live_ GUARDED_BY(mutex_);
+  /// Finished sessions: id -> the body's final status.
+  std::map<std::string, Status> retired_ GUARDED_BY(mutex_);
+  /// The most recently finished worker, not yet joined.
+  std::thread unjoined_ GUARDED_BY(mutex_);
 };
 
 }  // namespace ppc

@@ -26,7 +26,7 @@ Status InMemoryNetwork::ResolveRoute(const std::string& session,
                                      const std::string& from,
                                      const std::string& to,
                                      Endpoint** receiver,
-                                     ChannelState** channel) {
+                                     std::shared_ptr<ChannelState>* channel) {
   MutexLock lock(registry_mutex_);
   if (parties_.find(from) == parties_.end()) {
     return Status::NotFound("unknown sender '" + from + "'");
@@ -36,7 +36,8 @@ Status InMemoryNetwork::ResolveRoute(const std::string& session,
     return Status::NotFound("unknown receiver '" + to + "'");
   }
   *receiver = to_it->second.get();
-  if (channel != nullptr) *channel = ChannelForLocked(session, from, to);
+  if (channel == nullptr) return CheckLiveLocked(session);
+  PPC_ASSIGN_OR_RETURN(*channel, ChannelForLocked(session, from, to));
   return Status::OK();
 }
 
@@ -44,13 +45,13 @@ Status InMemoryNetwork::SendOn(const std::string& session,
                                const std::string& from, const std::string& to,
                                const std::string& topic, std::string payload) {
   Endpoint* receiver = nullptr;
-  ChannelState* channel = nullptr;
+  std::shared_ptr<ChannelState> channel;
   PPC_RETURN_IF_ERROR(ResolveRoute(session, from, to, &receiver, &channel));
   PPC_ASSIGN_OR_RETURN(
       std::string wire,
-      PrepareFrame(session, from, to, topic, payload, channel));
-  DeliverLocal(receiver, Message{from, to, topic, std::move(wire), session});
-  return Status::OK();
+      PrepareFrame(session, from, to, topic, payload, channel.get()));
+  return DeliverLocal(receiver,
+                      Message{from, to, topic, std::move(wire), session});
 }
 
 Status InMemoryNetwork::InjectFrameOn(const std::string& session,
@@ -60,9 +61,8 @@ Status InMemoryNetwork::InjectFrameOn(const std::string& session,
                                       std::string wire_bytes) {
   Endpoint* receiver = nullptr;
   PPC_RETURN_IF_ERROR(ResolveRoute(session, from, to, &receiver, nullptr));
-  DeliverLocal(receiver,
-               Message{from, to, topic, std::move(wire_bytes), session});
-  return Status::OK();
+  return DeliverLocal(receiver,
+                      Message{from, to, topic, std::move(wire_bytes), session});
 }
 
 }  // namespace ppc

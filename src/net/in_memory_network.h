@@ -1,6 +1,7 @@
 #ifndef PPC_NET_IN_MEMORY_NETWORK_H_
 #define PPC_NET_IN_MEMORY_NETWORK_H_
 
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -47,9 +48,11 @@ class InMemoryNetwork : public ChannelTransport {
  private:
   /// Resolves sender, receiver endpoint, and channel state (created on
   /// first use) in one registry lock — Send's whole routing lookup.
+  /// kFailedPrecondition on a retired session.
   Status ResolveRoute(const std::string& session, const std::string& from,
                       const std::string& to, Endpoint** receiver,
-                      ChannelState** channel) EXCLUDES(registry_mutex_);
+                      std::shared_ptr<ChannelState>* channel)
+      EXCLUDES(registry_mutex_);
 };
 
 }  // namespace ppc

@@ -193,34 +193,39 @@ class Network {
   // -- Cancellation-aware variants ------------------------------------------
   //
   // Blocking receives that consult a `CancelToken` while waiting, so a
-  // cancelled or deadline-expired session unblocks within one wait slice
-  // instead of sleeping out the full transport timeout. `cancel` may be
-  // null (then these are exactly `Receive`/`ReceiveOn`). Non-pure with
-  // forwarding defaults so transport implementations stay source-
-  // compatible; `ChannelTransport` overrides them with sliced waits.
+  // cancelled or deadline-expired session unblocks at once instead of
+  // sleeping out the full transport timeout. `cancel` may be null (then
+  // these are exactly `Receive`/`ReceiveOn`). Non-pure with forwarding
+  // defaults so transport implementations stay source-compatible;
+  // `ChannelTransport` overrides them with waits the token can wake.
   //
   // Error taxonomy every implementation must follow:
   //   * token cancelled        -> the token's sticky reason
   //   * token deadline passed  -> kDeadlineExceeded
   //   * transport timeout      -> kUnavailable ("peer unreachable")
   //   * zero-timeout empty     -> kNotFound (non-blocking probe, as ever)
+  //   * session purged         -> kFailedPrecondition
 
-  /// `Receive` that polls `cancel` while blocked.
+  /// `Receive` that honours `cancel` while blocked.
   virtual Result<Message> ReceiveCancellable(const std::string& to,
                                              const std::string& from,
                                              const std::string& expected_topic,
                                              const CancelToken* cancel);
 
-  /// `ReceiveOn` that polls `cancel` while blocked.
+  /// `ReceiveOn` that honours `cancel` while blocked.
   virtual Result<Message> ReceiveOnCancellable(
       const std::string& session, const std::string& to,
       const std::string& from, const std::string& expected_topic,
       const CancelToken* cancel);
 
-  /// Drops every queue, channel crypto/nonce state, and pending frame
-  /// belonging to `session`, so a cancelled or failed session releases
-  /// its transport footprint. Default: no-op (backends without per-
-  /// session state have nothing to free).
+  /// Retires a finished `session`: drops every queue, channel
+  /// crypto/nonce state, and pending frame belonging to it, keeping only
+  /// its final traffic counters (the stats calls keep reporting them).
+  /// The id is closed for good — later sends on it fail with
+  /// kFailedPrecondition — because a restarted session would reuse
+  /// (key, nonce) pairs. `SessionRegistry` calls this for every session
+  /// it finishes. Default: no-op (backends without per-session state have
+  /// nothing to free).
   virtual void PurgeSession(const std::string& session);
 };
 

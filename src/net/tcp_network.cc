@@ -398,61 +398,62 @@ void TcpNetwork::DropConn(int fd) {
 }
 
 void TcpNetwork::Deliver(Message message) {
-  Endpoint* endpoint = nullptr;
-  {
-    MutexLock lock(registry_mutex_);
-    auto it = parties_.find(message.to);
-    if (it == parties_.end()) {
-      // The receiver has not registered (yet): in a multi-process launch
-      // a fast peer's first frames can beat the local RegisterParty call.
-      // Park them; RegisterParty drains the stash in arrival order.
-      size_t parked = unclaimed_frames_.load(std::memory_order_relaxed);
-      if (parked >= kMaxUnclaimedFrames) {
-        dropped_frames_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      unclaimed_[message.to].push_back(std::move(message));
-      unclaimed_frames_.fetch_add(1, std::memory_order_relaxed);
+  // Enqueued under the registry lock, so a concurrent purge either sees
+  // the frame (and frees it) or retires the session first (and the frame
+  // is dropped here).
+  MutexLock lock(registry_mutex_);
+  if (!CheckLiveLocked(message.session).ok()) {
+    dropped_frames_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  auto it = parties_.find(message.to);
+  if (it == parties_.end()) {
+    // The receiver has not registered (yet): in a multi-process launch
+    // a fast peer's first frames can beat the local RegisterParty call.
+    // Park them; RegisterParty drains the stash in arrival order.
+    size_t parked = unclaimed_frames_.load(std::memory_order_relaxed);
+    if (parked >= kMaxUnclaimedFrames) {
+      dropped_frames_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    endpoint = it->second.get();
+    unclaimed_[message.to].push_back(std::move(message));
+    unclaimed_frames_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  DeliverLocal(endpoint, std::move(message));
+  EnqueueLocked(it->second.get(), std::move(message));
 }
 
 Status TcpNetwork::RegisterParty(const std::string& name) {
   if (name.empty()) {
     return Status::InvalidArgument("party name must be non-empty");
   }
-  Endpoint* endpoint = nullptr;
-  {
-    MutexLock lock(registry_mutex_);
-    if (remotes_.count(name) != 0) {
-      return Status::AlreadyExists("party '" + name +
-                                   "' already known as remote");
-    }
-    auto [it, inserted] = parties_.try_emplace(name);
-    if (!inserted) {
-      return Status::AlreadyExists("party '" + name + "' already registered");
-    }
-    it->second = std::make_unique<Endpoint>();
-    endpoint = it->second.get();
-    // Hand over frames that arrived before this registration. Still under
-    // the registry lock, so no new arrival can slip between the drain and
-    // the endpoint becoming visible — per-channel FIFO is preserved
-    // (lock order registry -> endpoint matches Deliver's).
-    auto parked = unclaimed_.find(name);
-    if (parked != unclaimed_.end()) {
-      MutexLock queue_lock(endpoint->mutex);
-      for (Message& message : parked->second) {
-        endpoint->queues[std::make_pair(message.session, message.from)]
-            .push_back(std::move(message));
-        unclaimed_frames_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      unclaimed_.erase(parked);
-    }
+  MutexLock lock(registry_mutex_);
+  if (remotes_.count(name) != 0) {
+    return Status::AlreadyExists("party '" + name +
+                                 "' already known as remote");
   }
-  endpoint->arrival.NotifyAll();
+  auto [it, inserted] = parties_.try_emplace(name);
+  if (!inserted) {
+    return Status::AlreadyExists("party '" + name + "' already registered");
+  }
+  it->second = std::make_unique<Endpoint>();
+  // Hand over frames that arrived before this registration. Still under
+  // the registry lock, so no new arrival can slip between the drain and
+  // the endpoint becoming visible — per-channel FIFO is preserved. Nobody
+  // can be parked on a party that was not registered, so no wake-up is
+  // owed beyond the enqueue's own.
+  auto parked = unclaimed_.find(name);
+  if (parked != unclaimed_.end()) {
+    for (Message& message : parked->second) {
+      unclaimed_frames_.fetch_sub(1, std::memory_order_relaxed);
+      if (!CheckLiveLocked(message.session).ok()) {
+        dropped_frames_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      EnqueueLocked(it->second.get(), std::move(message));
+    }
+    unclaimed_.erase(parked);
+  }
   return Status::OK();
 }
 
@@ -484,7 +485,7 @@ bool TcpNetwork::HasParty(const std::string& name) const {
 Status TcpNetwork::ResolveRoute(const std::string& session,
                                 const std::string& from, const std::string& to,
                                 std::string* dest_addr,
-                                ChannelState** channel) {
+                                std::shared_ptr<ChannelState>* channel) {
   MutexLock lock(registry_mutex_);
   if (parties_.find(from) == parties_.end()) {
     return Status::NotFound("unknown sender '" + from + "'");
@@ -500,7 +501,8 @@ Status TcpNetwork::ResolveRoute(const std::string& session,
   } else {
     return Status::NotFound("unknown receiver '" + to + "'");
   }
-  if (channel != nullptr) *channel = ChannelForLocked(session, from, to);
+  if (channel == nullptr) return CheckLiveLocked(session);
+  PPC_ASSIGN_OR_RETURN(*channel, ChannelForLocked(session, from, to));
   return Status::OK();
 }
 
@@ -671,11 +673,11 @@ Status TcpNetwork::SendOn(const std::string& session, const std::string& from,
                           const std::string& to, const std::string& topic,
                           std::string payload) {
   std::string dest_addr;
-  ChannelState* channel = nullptr;
+  std::shared_ptr<ChannelState> channel;
   PPC_RETURN_IF_ERROR(ResolveRoute(session, from, to, &dest_addr, &channel));
   PPC_ASSIGN_OR_RETURN(
       std::string wire,
-      PrepareFrame(session, from, to, topic, payload, channel));
+      PrepareFrame(session, from, to, topic, payload, channel.get()));
   return WriteFrame(dest_addr, session, from, to, topic, wire);
 }
 

@@ -136,8 +136,9 @@ class TcpNetwork : public ChannelTransport {
     return unclaimed_frames_.load(std::memory_order_relaxed);
   }
 
-  /// Frames dropped because the unclaimed stash overflowed (a peer
-  /// flooding a name this endpoint never registers). TCP has no way to
+  /// Frames dropped on arrival: because the unclaimed stash overflowed (a
+  /// peer flooding a name this endpoint never registers), or because they
+  /// belong to a session this endpoint has retired. TCP has no way to
   /// bounce them back to the caller.
   uint64_t DroppedFrameCount() const {
     return dropped_frames_.load(std::memory_order_relaxed);
@@ -204,15 +205,17 @@ class TcpNetwork : public ChannelTransport {
   void DropConn(int fd);
 
   /// Enqueues an arrived frame into the hosted receiver's queue, or parks
-  /// it until that receiver registers.
-  void Deliver(Message message);
+  /// it until that receiver registers. A frame for a retired session is
+  /// dropped (and counted in `DroppedFrameCount`).
+  void Deliver(Message message) EXCLUDES(registry_mutex_);
 
   /// Send-side route lookup: `from` must be hosted here; resolves the
   /// destination endpoint address ("host:port") and the session's channel
-  /// counters.
+  /// counters. kFailedPrecondition on a retired session.
   Status ResolveRoute(const std::string& session, const std::string& from,
                       const std::string& to, std::string* dest_addr,
-                      ChannelState** channel) EXCLUDES(registry_mutex_);
+                      std::shared_ptr<ChannelState>* channel)
+      EXCLUDES(registry_mutex_);
   /// Gets (dialing if needed, with backed-off retry on refusal) the
   /// pooled outbound connection to `dest_addr` and writes one framed
   /// message on it.

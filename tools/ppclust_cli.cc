@@ -983,6 +983,9 @@ int RunServe(const Flags& flags) {
         (void)(*network)->SendOn(job->session, party, coord_name,
                                  topics::kJobError, record.Serialize());
       }
+      // The refused session never runs here: retire it, so its peers'
+      // frames are dropped on arrival instead of queuing forever.
+      (*network)->PurgeSession(job->session);
       continue;
     }
 
