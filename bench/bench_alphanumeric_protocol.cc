@@ -68,8 +68,8 @@ void BM_AlnumResponderGrids(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(n);
   state.counters["p"] = static_cast<double>(p);
   state.counters["payload_B"] = static_cast<double>(
-      CommModel::AlnumResponderPayload(std::vector<uint64_t>(n, p),
-                                       std::vector<uint64_t>(n, p), 1));
+      CommModel::AlnumResponderTilePayload(std::vector<uint64_t>(n, p), 0, n,
+                                           std::vector<uint64_t>(n, p), 1));
   state.SetItemsProcessed(state.iterations() * n * n * p * p);
 }
 BENCHMARK(BM_AlnumResponderGrids)->ArgsProduct({{4, 8, 16, 32}, {16, 64}});

@@ -62,7 +62,7 @@ void BM_MaskingNumericExchange(benchmark::State& state) {
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["wire_B"] = static_cast<double>(
-      CommModel::NumericInitiatorPayload(n, n, MaskingMode::kBatch));
+      CommModel::NumericInitiatorPayload(n));
   state.counters["ratio_vs_mask"] = 1.0;
 }
 BENCHMARK(BM_MaskingNumericExchange)->Arg(8)->Arg(32)->Arg(128);
@@ -91,7 +91,7 @@ void BM_PaillierNumericExchange(benchmark::State& state) {
   state.counters["ratio_vs_mask"] =
       static_cast<double>(wire_bytes) /
       static_cast<double>(
-          CommModel::NumericInitiatorPayload(n, n, MaskingMode::kBatch));
+          CommModel::NumericInitiatorPayload(n));
 }
 BENCHMARK(BM_PaillierNumericExchange)
     ->Arg(8)

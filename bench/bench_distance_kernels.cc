@@ -21,8 +21,8 @@
 namespace ppc {
 namespace {
 
-// The ctest env overrides must not leak in (see bench_end_to_end.cc);
-// PPC_FORCE_SCALAR_KERNELS would silently turn the avx2 legs scalar.
+// The ctest env overrides must not leak in: PPC_FORCE_SCALAR_KERNELS
+// would silently turn the avx2 legs scalar.
 [[maybe_unused]] const bool kEnvCleared = [] {
   unsetenv("PPC_FORCE_SCALAR_KERNELS");
   return true;

@@ -63,8 +63,8 @@ void RunAttackBenchmark(benchmark::State& state, MaskingMode mode) {
       static_cast<double>(outcome.feasible_candidates);
   state.counters["feasible"] = outcome.true_vector_feasible ? 1.0 : 0.0;
   state.counters["extra_bytes"] = static_cast<double>(
-      CommModel::NumericInitiatorPayload(n, m, MaskingMode::kPerPair) -
-      CommModel::NumericInitiatorPayload(n, m, MaskingMode::kBatch));
+      CommModel::NumericInitiatorTilePayload(n, 0, m) -
+      CommModel::NumericInitiatorPayload(n));
 }
 
 void BM_FrequencyAttackBatch(benchmark::State& state) {

@@ -39,9 +39,9 @@ void BM_NumericInitiatorBatch(benchmark::State& state) {
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["payload_B"] = static_cast<double>(
-      CommModel::NumericInitiatorPayload(n, n, MaskingMode::kBatch));
+      CommModel::NumericInitiatorPayload(n));
   state.counters["localmat_B"] =
-      static_cast<double>(CommModel::LocalMatrixPayload(n));
+      static_cast<double>(CommModel::LocalMatrixTilePayload(0, n));
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_NumericInitiatorBatch)->RangeMultiplier(4)->Range(16, 16384);
@@ -58,7 +58,7 @@ void BM_NumericInitiatorPerPair(benchmark::State& state) {
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["payload_B"] = static_cast<double>(
-      CommModel::NumericInitiatorPayload(n, n, MaskingMode::kPerPair));
+      CommModel::NumericInitiatorTilePayload(n, 0, n));
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_NumericInitiatorPerPair)->RangeMultiplier(4)->Range(16, 1024);
@@ -79,7 +79,7 @@ void BM_NumericResponderBatch(benchmark::State& state) {
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["payload_B"] = static_cast<double>(
-      CommModel::NumericResponderPayload(n, n, /*name_len=*/1));
+      CommModel::NumericResponderTilePayload(n, 0, n, /*name_len=*/1));
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_NumericResponderBatch)->RangeMultiplier(4)->Range(16, 2048);
@@ -126,9 +126,9 @@ void BM_NumericFullExchange(benchmark::State& state) {
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["initiator_B"] = static_cast<double>(
-      CommModel::NumericInitiatorPayload(n, n, MaskingMode::kBatch));
+      CommModel::NumericInitiatorPayload(n));
   state.counters["responder_B"] = static_cast<double>(
-      CommModel::NumericResponderPayload(n, n, 1));
+      CommModel::NumericResponderTilePayload(n, 0, n, 1));
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_NumericFullExchange)->RangeMultiplier(4)->Range(16, 1024);

@@ -13,20 +13,6 @@ uint64_t CommModel::AlnumInitiatorPayload(
   return total;
 }
 
-uint64_t CommModel::AlnumResponderPayload(
-    const std::vector<uint64_t>& responder_lengths,
-    const std::vector<uint64_t>& initiator_lengths,
-    uint64_t initiator_name_length) {
-  uint64_t total = kAttrHeader + kVectorHeader + initiator_name_length +
-                   2 * kU64;
-  for (uint64_t q : responder_lengths) {
-    for (uint64_t p : initiator_lengths) {
-      total += 4 + 4 + kVectorHeader + q * p;  // rlen, ilen, cell bytes.
-    }
-  }
-  return total;
-}
-
 uint64_t CommModel::AlnumResponderTilePayload(
     const std::vector<uint64_t>& responder_lengths, uint64_t row_begin,
     uint64_t row_end, const std::vector<uint64_t>& initiator_lengths,
@@ -79,32 +65,23 @@ Result<std::map<int, uint64_t>> ScheduleCommModel::PredictPhasePayloads(
     uint64_t payload = 0;
     switch (step.kind) {
       case StepKind::kLocalMatrixSend: {
-        if (step.tiled) {
-          payload =
-              CommModel::LocalMatrixTilePayload(step.row_begin, step.row_end);
-          break;
-        }
         PPC_ASSIGN_OR_RETURN(const HolderTrafficProfile* sender,
                              FindProfile(profiles, step.actor));
-        payload = CommModel::LocalMatrixPayload(sender->objects);
+        payload = CommModel::LocalMatrixTilePayload(
+            step.row_begin, step.RowEnd(sender->objects));
         break;
       }
       case StepKind::kComparisonInit: {
         PPC_ASSIGN_OR_RETURN(const HolderTrafficProfile* initiator,
                              FindProfile(profiles, step.actor));
-        if (step.tiled) {
-          // Only the per-pair numeric initiator is tiled (fresh masks per
-          // responder-row tile); batch and alphanumeric initiators ship one
-          // whole message through the untiled formula below.
-          payload = CommModel::NumericInitiatorTilePayload(
-              initiator->objects, step.row_begin, step.row_end);
-          break;
-        }
-        if (schedule.IsNumericColumn(step.column)) {
+        if (schedule.RowRangedInitiator(step.column)) {
           PPC_ASSIGN_OR_RETURN(const HolderTrafficProfile* responder,
                                FindProfile(profiles, step.peer));
-          payload = CommModel::NumericInitiatorPayload(
-              initiator->objects, responder->objects, config.masking_mode);
+          payload = CommModel::NumericInitiatorTilePayload(
+              initiator->objects, step.row_begin,
+              step.RowEnd(responder->objects));
+        } else if (schedule.IsNumericColumn(step.column)) {
+          payload = CommModel::NumericInitiatorPayload(initiator->objects);
         } else {
           PPC_ASSIGN_OR_RETURN(
               const std::vector<uint64_t>* lengths,
@@ -118,15 +95,11 @@ Result<std::map<int, uint64_t>> ScheduleCommModel::PredictPhasePayloads(
                              FindProfile(profiles, step.actor));
         PPC_ASSIGN_OR_RETURN(const HolderTrafficProfile* initiator,
                              FindProfile(profiles, step.initiator));
+        const uint64_t row_end = step.RowEnd(responder->objects);
         if (schedule.IsNumericColumn(step.column)) {
-          payload =
-              step.tiled
-                  ? CommModel::NumericResponderTilePayload(
-                        initiator->objects, step.row_begin, step.row_end,
-                        step.initiator.size())
-                  : CommModel::NumericResponderPayload(
-                        responder->objects, initiator->objects,
-                        step.initiator.size());
+          payload = CommModel::NumericResponderTilePayload(
+              initiator->objects, step.row_begin, row_end,
+              step.initiator.size());
         } else {
           PPC_ASSIGN_OR_RETURN(
               const std::vector<uint64_t>* responder_lengths,
@@ -134,14 +107,9 @@ Result<std::map<int, uint64_t>> ScheduleCommModel::PredictPhasePayloads(
           PPC_ASSIGN_OR_RETURN(
               const std::vector<uint64_t>* initiator_lengths,
               FindLengths(*initiator, step.initiator, step.column));
-          payload =
-              step.tiled
-                  ? CommModel::AlnumResponderTilePayload(
-                        *responder_lengths, step.row_begin, step.row_end,
-                        *initiator_lengths, step.initiator.size())
-                  : CommModel::AlnumResponderPayload(*responder_lengths,
-                                                     *initiator_lengths,
-                                                     step.initiator.size());
+          payload = CommModel::AlnumResponderTilePayload(
+              *responder_lengths, step.row_begin, row_end, *initiator_lengths,
+              step.initiator.size());
         }
         break;
       }

@@ -36,26 +36,11 @@ class CommModel {
   static constexpr uint64_t kF64 = 8;
   static constexpr uint64_t kTokenBytes = 16;    // Deterministic token size.
 
-  /// Fig.-12 local matrix message for n objects: attr + n + packed floats.
-  static uint64_t LocalMatrixPayload(uint64_t n) {
-    return kAttrHeader + kU64 + kVectorHeader + n * (n - 1) / 2 * kF64;
-  }
-
-  /// Numeric initiator -> responder payload. Batch: n masked words.
-  /// Per-pair: n*m masked words.
-  static uint64_t NumericInitiatorPayload(uint64_t n, uint64_t m,
-                                          MaskingMode mode) {
-    uint64_t words = mode == MaskingMode::kBatch ? n : n * m;
+  /// Batch numeric initiator -> responder payload: attr, mode tag, row
+  /// word and the n masked words every responder range build shares.
+  static uint64_t NumericInitiatorPayload(uint64_t n) {
     return kAttrHeader + /*mode*/ 1 + /*rows*/ kU64 + kVectorHeader +
-           words * kU64;
-  }
-
-  /// Numeric responder -> TP payload: the m x n comparison matrix plus the
-  /// initiator-name echo.
-  static uint64_t NumericResponderPayload(uint64_t m, uint64_t n,
-                                          uint64_t initiator_name_length) {
-    return kAttrHeader + kVectorHeader + initiator_name_length + 1 +
-           2 * kU64 + kVectorHeader + m * n * kU64;
+           n * kU64;
   }
 
   /// Alphanumeric initiator -> responder payload for strings of the given
@@ -63,23 +48,18 @@ class CommModel {
   static uint64_t AlnumInitiatorPayload(
       const std::vector<uint64_t>& string_lengths);
 
-  /// Alphanumeric responder -> TP payload: one byte per CCM cell over all
-  /// (responder, initiator) string pairs plus per-grid headers.
-  static uint64_t AlnumResponderPayload(
-      const std::vector<uint64_t>& responder_lengths,
-      const std::vector<uint64_t>& initiator_lengths,
-      uint64_t initiator_name_length);
-
-  // -- Tiled payloads (tile_size > 0 schedules) ------------------------------
-  // Row-range tiles repeat the attribute header and add the [row_begin,
-  // row_end) range to every message, so total tiled bytes exceed the
-  // whole-matrix total by exactly (tiles - 1) headers per round — which is
-  // why `analyze` reconciles to the byte at any tile size.
+  // -- Row-range payloads ----------------------------------------------------
+  // Every phase-4/5 message except the two initiator payloads above covers
+  // rows [row_begin, row_end) of its round's owner and carries that range
+  // in its header. A round is one range over all rows (tile_size 0) or
+  // several tiles, so a tiled run exceeds the one-range run by exactly
+  // (tiles - 1) headers per round — which is why `analyze` reconciles to
+  // the byte at any tile size.
 
   /// Packed-triangle cells of rows [0, r): r * (r - 1) / 2.
   static uint64_t TriangleCells(uint64_t r) { return r * (r - 1) / 2; }
 
-  /// Fig.-12 local-matrix tile: attr + total rows + range + the packed
+  /// Fig.-12 local-matrix range: attr + total rows + range + the packed
   /// cells of rows [row_begin, row_end).
   static uint64_t LocalMatrixTilePayload(uint64_t row_begin,
                                          uint64_t row_end) {
@@ -87,16 +67,15 @@ class CommModel {
            (TriangleCells(row_end) - TriangleCells(row_begin)) * kF64;
   }
 
-  /// Per-pair numeric initiator tile: fresh masks for responder rows
-  /// [row_begin, row_end) against all n initiator objects. (Batch and
-  /// alphanumeric initiator messages are never tiled.)
+  /// Per-pair numeric initiator range: fresh masks for responder rows
+  /// [row_begin, row_end) against all n initiator objects.
   static uint64_t NumericInitiatorTilePayload(uint64_t n, uint64_t row_begin,
                                               uint64_t row_end) {
     return kAttrHeader + /*mode*/ 1 + 2 * kU64 + kVectorHeader +
            (row_end - row_begin) * n * kU64;
   }
 
-  /// Numeric responder -> TP tile: comparison rows [row_begin, row_end)
+  /// Numeric responder -> TP range: comparison rows [row_begin, row_end)
   /// x n, plus the initiator-name echo, masking tag, range and width.
   static uint64_t NumericResponderTilePayload(uint64_t n, uint64_t row_begin,
                                               uint64_t row_end,
@@ -105,7 +84,7 @@ class CommModel {
            3 * kU64 + kVectorHeader + (row_end - row_begin) * n * kU64;
   }
 
-  /// Alphanumeric responder -> TP tile: CCM grids of responder strings
+  /// Alphanumeric responder -> TP range: CCM grids of responder strings
   /// [row_begin, row_end) against every initiator string.
   static uint64_t AlnumResponderTilePayload(
       const std::vector<uint64_t>& responder_lengths, uint64_t row_begin,

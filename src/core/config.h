@@ -78,17 +78,17 @@ struct ProtocolConfig {
   /// `ScheduleGranularity`.
   ScheduleGranularity schedule_granularity = ScheduleGranularity::kFine;
 
-  /// Row-tile height for the quadratic phases (4 and 5). 0 (the default)
-  /// ships each local matrix and comparison result as one whole-matrix
-  /// message — the paper's original shape, byte-identical to every prior
-  /// release. A positive value splits those payloads into row-range tiles
-  /// of at most `tile_size` responder rows each, streamed through their own
-  /// schedule-graph steps: the third party starts unmasking early tiles
-  /// while later tiles are still being built and sent, and peak per-message
-  /// memory drops from O(n^2) to O(n * tile_size). Final matrices (and
-  /// therefore dendrograms/outcomes) are bit-identical at every tile size;
-  /// wire framing differs (per-tile headers), which the communication
-  /// model prices exactly.
+  /// Row-tile height for the quadratic phases (4 and 5). Every local
+  /// matrix and comparison result travels as row-range messages, each
+  /// streamed through its own schedule-graph steps. 0 (the default) sends
+  /// one range per holder round, covering all of that holder's rows. A
+  /// positive value splits each round into tiles of at most `tile_size`
+  /// rows: the third party starts unmasking early tiles while later tiles
+  /// are still being built and sent, and peak per-message memory drops
+  /// from O(n^2) to O(n * tile_size). Final matrices (and therefore
+  /// dendrograms/outcomes) are bit-identical at every tile size; the wire
+  /// carries one range header per tile, which the communication model
+  /// prices exactly.
   size_t tile_size = 0;
 
   /// End-to-end session deadline in milliseconds. 0 (the default) means

@@ -56,10 +56,11 @@ std::string OutboundSlot(size_t column, const std::string& initiator) {
   return "outbound:" + std::to_string(column) + ":" + initiator;
 }
 
-// Qualifies a stash slot or PRNG label with a tile's first row. Slots keep
-// concurrent tile stages of one attribute apart; labels give each per-pair
-// tile an independent mask stream (any consistent stream recovers the same
-// distances, so tiling never changes the final matrices).
+// Qualifies a stash slot or PRNG label with a row range's first row. Slots
+// keep concurrent range stages of one attribute apart; labels give each
+// per-pair range an independent mask stream (any consistent stream
+// recovers the same distances, so tiling never changes the final
+// matrices).
 std::string TileSuffix(uint64_t row_begin) {
   return ":t" + std::to_string(row_begin);
 }
@@ -246,252 +247,6 @@ Result<std::string> DataHolder::ConsumePendingShared(const std::string& slot) {
   return it->second.first;
 }
 
-Status DataHolder::BuildLocalMatrix(size_t column) {
-  if (column >= data_.NumColumns()) {
-    return Status::InvalidArgument("attribute " + std::to_string(column) +
-                                   " out of range");
-  }
-  if (data_.schema().attribute(column).type == AttributeType::kCategorical) {
-    return Status::InvalidArgument(
-        "categorical attributes have no local matrices");
-  }
-  PPC_ASSIGN_OR_RETURN(
-      DissimilarityMatrix local,
-      LocalDissimilarity::Build(data_, column, real_codec_,
-                                config_.num_threads));
-  ByteWriter writer;
-  writer.Reserve(4 + 8 + 4 + 8 * local.packed_cells().size());
-  writer.WriteU32(static_cast<uint32_t>(column));
-  writer.WriteU64(local.num_objects());
-  writer.WriteF64Vector(local.packed_cells());
-  StashPending(LocalMatrixSlot(column), writer.TakeBytes());
-  return Status::OK();
-}
-
-Status DataHolder::SendLocalMatrix(size_t column,
-                                   const std::string& third_party) {
-  PPC_ASSIGN_OR_RETURN(std::string payload,
-                       TakePending(LocalMatrixSlot(column)));
-  return network_->Send(name_, third_party, topics::kLocalMatrix,
-                        std::move(payload));
-}
-
-Status DataHolder::SendLocalMatrices(const std::string& third_party) {
-  for (size_t c = 0; c < data_.NumColumns(); ++c) {
-    AttributeType type = data_.schema().attribute(c).type;
-    if (type == AttributeType::kCategorical) continue;  // Sec. 4.3 path.
-    PPC_RETURN_IF_ERROR(BuildLocalMatrix(c));
-    PPC_RETURN_IF_ERROR(SendLocalMatrix(c, third_party));
-  }
-  return Status::OK();
-}
-
-Status DataHolder::RunNumericInitiator(size_t column,
-                                       const std::string& responder) {
-  PPC_ASSIGN_OR_RETURN(std::vector<int64_t> values,
-                       EncodedNumericColumn(column));
-  const std::string label = NumericLabel(column, name_, responder);
-  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jk,
-                       PairPrng(responder, label));
-  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
-                       PairPrng(tp_name_, label));
-
-  std::vector<uint64_t> masked;
-  uint64_t declared_rows = 0;
-  if (config_.masking_mode == MaskingMode::kBatch) {
-    masked = NumericProtocol::MaskVector(values, rng_jt.get(), rng_jk.get());
-  } else {
-    PPC_ASSIGN_OR_RETURN(uint64_t responder_count, RosterCount(responder));
-    declared_rows = responder_count;
-    masked = NumericProtocol::MaskMatrixPerPair(values, responder_count,
-                                                rng_jt.get(), rng_jk.get());
-  }
-  ByteWriter writer;
-  writer.Reserve(4 + 1 + 8 + 4 + 8 * masked.size());
-  writer.WriteU32(static_cast<uint32_t>(column));
-  writer.WriteU8(static_cast<uint8_t>(config_.masking_mode));
-  writer.WriteU64(declared_rows);
-  writer.WriteU64Vector(masked);
-  return network_->Send(name_, responder, topics::kNumericMasked,
-                        writer.TakeBytes());
-}
-
-Status DataHolder::ReceiveNumericMasked(size_t column,
-                                        const std::string& initiator) {
-  PPC_ASSIGN_OR_RETURN(
-      Message msg,
-      Recv(initiator, topics::kNumericMasked));
-  StashPending(InboundSlot(column, initiator), std::move(msg.payload));
-  return Status::OK();
-}
-
-Status DataHolder::BuildNumericComparison(size_t column,
-                                          const std::string& initiator) {
-  PPC_ASSIGN_OR_RETURN(std::string inbound,
-                       TakePending(InboundSlot(column, initiator)));
-  ByteReader reader(inbound);
-  PPC_ASSIGN_OR_RETURN(uint32_t attr, reader.ReadU32());
-  if (attr != column) {
-    return Status::ProtocolViolation("initiator sent attribute " +
-                                     std::to_string(attr) + ", expected " +
-                                     std::to_string(column));
-  }
-  PPC_ASSIGN_OR_RETURN(uint8_t mode_tag, reader.ReadU8());
-  PPC_ASSIGN_OR_RETURN(uint64_t declared_rows, reader.ReadU64());
-  PPC_ASSIGN_OR_RETURN(std::vector<uint64_t> masked, reader.ReadU64Vector());
-  PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-
-  PPC_ASSIGN_OR_RETURN(std::vector<int64_t> own_values,
-                       EncodedNumericColumn(column));
-  const std::string label = NumericLabel(column, initiator, name_);
-  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jk,
-                       PairPrng(initiator, label));
-
-  std::vector<uint64_t> comparison;
-  uint64_t cols = 0;
-  if (mode_tag == static_cast<uint8_t>(MaskingMode::kBatch)) {
-    cols = masked.size();
-    comparison = NumericProtocol::BuildComparisonMatrix(
-        own_values, masked, rng_jk.get(), config_.num_threads);
-  } else if (mode_tag == static_cast<uint8_t>(MaskingMode::kPerPair)) {
-    if (declared_rows != own_values.size()) {
-      return Status::ProtocolViolation(
-          "per-pair mask matrix sized for " + std::to_string(declared_rows) +
-          " responder objects, have " + std::to_string(own_values.size()));
-    }
-    if (own_values.empty() || masked.size() % own_values.size() != 0) {
-      return Status::ProtocolViolation("per-pair mask matrix not rectangular");
-    }
-    cols = masked.size() / own_values.size();
-    PPC_ASSIGN_OR_RETURN(comparison,
-                         NumericProtocol::AddResponderPerPair(
-                             own_values, cols, masked, rng_jk.get()));
-  } else {
-    return Status::ProtocolViolation("unknown masking mode tag");
-  }
-
-  ByteWriter writer;
-  writer.Reserve(4 + 4 + initiator.size() + 1 + 8 + 8 + 4 +
-                 8 * comparison.size());
-  writer.WriteU32(static_cast<uint32_t>(column));
-  writer.WriteBytes(initiator);
-  writer.WriteU8(mode_tag);
-  writer.WriteU64(own_values.size());
-  writer.WriteU64(cols);
-  writer.WriteU64Vector(comparison);
-  StashPending(OutboundSlot(column, initiator), writer.TakeBytes());
-  return Status::OK();
-}
-
-Status DataHolder::SendNumericComparison(size_t column,
-                                         const std::string& initiator,
-                                         const std::string& third_party) {
-  PPC_ASSIGN_OR_RETURN(std::string payload,
-                       TakePending(OutboundSlot(column, initiator)));
-  return network_->Send(name_, third_party, topics::kNumericComparison,
-                        std::move(payload));
-}
-
-Status DataHolder::RunNumericResponder(size_t column,
-                                       const std::string& initiator,
-                                       const std::string& third_party) {
-  PPC_RETURN_IF_ERROR(ReceiveNumericMasked(column, initiator));
-  PPC_RETURN_IF_ERROR(BuildNumericComparison(column, initiator));
-  return SendNumericComparison(column, initiator, third_party);
-}
-
-Status DataHolder::RunAlphanumericInitiator(size_t column,
-                                            const std::string& responder) {
-  PPC_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> strings,
-                       EncodedStringColumn(column));
-  const std::string label = AlnumLabel(column, name_, responder);
-  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
-                       PairPrng(tp_name_, label));
-  PPC_ASSIGN_OR_RETURN(
-      std::vector<std::vector<uint8_t>> masked,
-      AlphanumericProtocol::MaskStrings(strings, config_.alphabet,
-                                        rng_jt.get()));
-  ByteWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(column));
-  std::vector<std::string> as_bytes;
-  as_bytes.reserve(masked.size());
-  for (const auto& s : masked) as_bytes.push_back(BytesFromSymbols(s));
-  writer.WriteBytesVector(as_bytes);
-  return network_->Send(name_, responder, topics::kAlnumMasked,
-                        writer.TakeBytes());
-}
-
-Status DataHolder::ReceiveAlphanumericMasked(size_t column,
-                                             const std::string& initiator) {
-  PPC_ASSIGN_OR_RETURN(
-      Message msg, Recv(initiator, topics::kAlnumMasked));
-  StashPending(InboundSlot(column, initiator), std::move(msg.payload));
-  return Status::OK();
-}
-
-Status DataHolder::BuildAlphanumericGrids(size_t column,
-                                          const std::string& initiator) {
-  PPC_ASSIGN_OR_RETURN(std::string inbound,
-                       TakePending(InboundSlot(column, initiator)));
-  ByteReader reader(inbound);
-  PPC_ASSIGN_OR_RETURN(uint32_t attr, reader.ReadU32());
-  if (attr != column) {
-    return Status::ProtocolViolation("initiator sent attribute " +
-                                     std::to_string(attr) + ", expected " +
-                                     std::to_string(column));
-  }
-  PPC_ASSIGN_OR_RETURN(std::vector<std::string> masked_bytes,
-                       reader.ReadBytesVector());
-  PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-
-  std::vector<std::vector<uint8_t>> masked;
-  masked.reserve(masked_bytes.size());
-  for (const std::string& bytes : masked_bytes) {
-    masked.push_back(SymbolsFromBytes(bytes));
-  }
-  PPC_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> own,
-                       EncodedStringColumn(column));
-
-  std::vector<AlphanumericProtocol::MaskedGrid> grids =
-      AlphanumericProtocol::BuildMaskedGrids(own, masked, config_.alphabet,
-                                             config_.num_threads);
-
-  size_t grid_bytes = 0;
-  for (const auto& grid : grids) grid_bytes += 4 + 4 + 4 + grid.cells.size();
-  ByteWriter writer;
-  writer.Reserve(4 + 4 + initiator.size() + 8 + 8 + grid_bytes);
-  writer.WriteU32(static_cast<uint32_t>(column));
-  writer.WriteBytes(initiator);
-  writer.WriteU64(own.size());
-  writer.WriteU64(masked.size());
-  for (const auto& grid : grids) {
-    writer.WriteU32(static_cast<uint32_t>(grid.responder_length));
-    writer.WriteU32(static_cast<uint32_t>(grid.initiator_length));
-    writer.WriteBytes(grid.cells.data(), grid.cells.size());
-  }
-  StashPending(OutboundSlot(column, initiator), writer.TakeBytes());
-  return Status::OK();
-}
-
-Status DataHolder::SendAlphanumericGrids(size_t column,
-                                         const std::string& initiator,
-                                         const std::string& third_party) {
-  PPC_ASSIGN_OR_RETURN(std::string payload,
-                       TakePending(OutboundSlot(column, initiator)));
-  return network_->Send(name_, third_party, topics::kAlnumGrids,
-                        std::move(payload));
-}
-
-Status DataHolder::RunAlphanumericResponder(size_t column,
-                                            const std::string& initiator,
-                                            const std::string& third_party) {
-  PPC_RETURN_IF_ERROR(ReceiveAlphanumericMasked(column, initiator));
-  PPC_RETURN_IF_ERROR(BuildAlphanumericGrids(column, initiator));
-  return SendAlphanumericGrids(column, initiator, third_party);
-}
-
-// -- Tiled protocol steps ------------------------------------------------------
-
 Status DataHolder::BuildLocalMatrixTile(size_t column, uint64_t row_begin,
                                         uint64_t row_end) {
   if (column >= data_.NumColumns()) {
@@ -527,13 +282,38 @@ Status DataHolder::SendLocalMatrixTile(size_t column, uint64_t row_begin,
                         std::move(payload));
 }
 
+Status DataHolder::RunNumericInitiator(size_t column,
+                                       const std::string& responder) {
+  if (config_.masking_mode != MaskingMode::kBatch) {
+    return Status::FailedPrecondition(
+        "per-pair masking sends one masked message per row range");
+  }
+  PPC_ASSIGN_OR_RETURN(std::vector<int64_t> values,
+                       EncodedNumericColumn(column));
+  const std::string label = NumericLabel(column, name_, responder);
+  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jk,
+                       PairPrng(responder, label));
+  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
+                       PairPrng(tp_name_, label));
+  std::vector<uint64_t> masked =
+      NumericProtocol::MaskVector(values, rng_jt.get(), rng_jk.get());
+  ByteWriter writer;
+  writer.Reserve(4 + 1 + 8 + 4 + 8 * masked.size());
+  writer.WriteU32(static_cast<uint32_t>(column));
+  writer.WriteU8(static_cast<uint8_t>(config_.masking_mode));
+  writer.WriteU64(0);  // Row count: batch masks serve every responder row.
+  writer.WriteU64Vector(masked);
+  return network_->Send(name_, responder, topics::kNumericMasked,
+                        writer.TakeBytes());
+}
+
 Status DataHolder::RunNumericInitiatorTile(size_t column,
                                            const std::string& responder,
                                            uint64_t row_begin,
                                            uint64_t row_end) {
   if (config_.masking_mode != MaskingMode::kPerPair) {
     return Status::FailedPrecondition(
-        "tiled initiator steps exist only in per-pair masking mode");
+        "row-range initiator steps exist only in per-pair masking mode");
   }
   if (row_begin > row_end) {
     return Status::InvalidArgument("inverted tile row range");
@@ -556,6 +336,27 @@ Status DataHolder::RunNumericInitiatorTile(size_t column,
   writer.WriteU64(row_end);
   writer.WriteU64Vector(masked);
   return network_->Send(name_, responder, topics::kNumericMasked,
+                        writer.TakeBytes());
+}
+
+Status DataHolder::RunAlphanumericInitiator(size_t column,
+                                            const std::string& responder) {
+  PPC_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> strings,
+                       EncodedStringColumn(column));
+  const std::string label = AlnumLabel(column, name_, responder);
+  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
+                       PairPrng(tp_name_, label));
+  PPC_ASSIGN_OR_RETURN(
+      std::vector<std::vector<uint8_t>> masked,
+      AlphanumericProtocol::MaskStrings(strings, config_.alphabet,
+                                        rng_jt.get()));
+  ByteWriter writer;
+  writer.WriteU32(static_cast<uint32_t>(column));
+  std::vector<std::string> as_bytes;
+  as_bytes.reserve(masked.size());
+  for (const auto& s : masked) as_bytes.push_back(BytesFromSymbols(s));
+  writer.WriteBytesVector(as_bytes);
+  return network_->Send(name_, responder, topics::kAlnumMasked,
                         writer.TakeBytes());
 }
 
@@ -595,6 +396,43 @@ Status DataHolder::BuildNumericComparisonTile(size_t column,
                                               const std::string& initiator,
                                               uint64_t row_begin,
                                               uint64_t row_end) {
+  // Batch ranges all read the initiator's one masked vector (the shared
+  // stash); per-pair masks are consumed linearly across rows, so each
+  // range has its own masked message over a range-fresh mask stream.
+  const bool batch = config_.masking_mode == MaskingMode::kBatch;
+  const std::string slot = InboundSlot(column, initiator);
+  PPC_ASSIGN_OR_RETURN(std::string inbound,
+                       batch ? ConsumePendingShared(slot)
+                             : TakePending(slot + TileSuffix(row_begin)));
+  // The payload's self-description is checked before any arithmetic.
+  ByteReader reader(inbound);
+  PPC_ASSIGN_OR_RETURN(uint32_t attr, reader.ReadU32());
+  if (attr != column) {
+    return Status::ProtocolViolation("initiator sent attribute " +
+                                     std::to_string(attr) + ", expected " +
+                                     std::to_string(column));
+  }
+  PPC_ASSIGN_OR_RETURN(uint8_t mode_tag, reader.ReadU8());
+  if (mode_tag != static_cast<uint8_t>(config_.masking_mode)) {
+    return Status::ProtocolViolation(
+        "initiator masking mode disagrees with this site's configuration");
+  }
+  if (batch) {
+    PPC_ASSIGN_OR_RETURN(uint64_t declared_rows, reader.ReadU64());
+    (void)declared_rows;
+  } else {
+    PPC_ASSIGN_OR_RETURN(uint64_t declared_begin, reader.ReadU64());
+    PPC_ASSIGN_OR_RETURN(uint64_t declared_end, reader.ReadU64());
+    if (declared_begin != row_begin || declared_end != row_end) {
+      return Status::ProtocolViolation(
+          "initiator tile covers rows [" + std::to_string(declared_begin) +
+          ", " + std::to_string(declared_end) + "), the schedule expects [" +
+          std::to_string(row_begin) + ", " + std::to_string(row_end) + ")");
+    }
+  }
+  PPC_ASSIGN_OR_RETURN(std::vector<uint64_t> masked, reader.ReadU64Vector());
+  PPC_RETURN_IF_ERROR(reader.ExpectEnd());
+
   PPC_ASSIGN_OR_RETURN(std::vector<int64_t> own_values,
                        EncodedNumericColumn(column));
   if (row_begin > row_end || row_end > own_values.size()) {
@@ -611,29 +449,10 @@ Status DataHolder::BuildNumericComparisonTile(size_t column,
 
   std::vector<uint64_t> comparison;
   uint64_t cols = 0;
-  if (config_.masking_mode == MaskingMode::kBatch) {
-    // Every tile reads the same whole masked vector (the shared stash) and
-    // a fresh generator — every comparison row consumes the identical sign
-    // prefix, so a row slice is bit-identical to the same rows of the
-    // whole-matrix build.
-    PPC_ASSIGN_OR_RETURN(std::string inbound,
-                         ConsumePendingShared(InboundSlot(column, initiator)));
-    ByteReader reader(inbound);
-    PPC_ASSIGN_OR_RETURN(uint32_t attr, reader.ReadU32());
-    if (attr != column) {
-      return Status::ProtocolViolation("initiator sent attribute " +
-                                       std::to_string(attr) + ", expected " +
-                                       std::to_string(column));
-    }
-    PPC_ASSIGN_OR_RETURN(uint8_t mode_tag, reader.ReadU8());
-    PPC_ASSIGN_OR_RETURN(uint64_t declared_rows, reader.ReadU64());
-    (void)declared_rows;
-    PPC_ASSIGN_OR_RETURN(std::vector<uint64_t> masked, reader.ReadU64Vector());
-    PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-    if (mode_tag != static_cast<uint8_t>(MaskingMode::kBatch)) {
-      return Status::ProtocolViolation(
-          "initiator masking mode disagrees with this site's configuration");
-    }
+  if (batch) {
+    // A fresh generator per range: every comparison row consumes the
+    // identical sign prefix, so a row slice is bit-identical to the same
+    // rows of a one-range build.
     const std::string label = NumericLabel(column, initiator, name_);
     PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jk,
                          PairPrng(initiator, label));
@@ -641,37 +460,12 @@ Status DataHolder::BuildNumericComparisonTile(size_t column,
     comparison = NumericProtocol::BuildComparisonMatrix(
         own_slice, masked, rng_jk.get(), config_.num_threads);
   } else {
-    // Per-pair masks are consumed linearly across rows, so each tile is a
-    // self-contained round over a tile-fresh mask stream.
-    PPC_ASSIGN_OR_RETURN(
-        std::string inbound,
-        TakePending(InboundSlot(column, initiator) + TileSuffix(row_begin)));
-    ByteReader reader(inbound);
-    PPC_ASSIGN_OR_RETURN(uint32_t attr, reader.ReadU32());
-    if (attr != column) {
-      return Status::ProtocolViolation("initiator sent attribute " +
-                                       std::to_string(attr) + ", expected " +
-                                       std::to_string(column));
-    }
-    PPC_ASSIGN_OR_RETURN(uint8_t mode_tag, reader.ReadU8());
-    PPC_ASSIGN_OR_RETURN(uint64_t declared_begin, reader.ReadU64());
-    PPC_ASSIGN_OR_RETURN(uint64_t declared_end, reader.ReadU64());
-    PPC_ASSIGN_OR_RETURN(std::vector<uint64_t> masked, reader.ReadU64Vector());
-    PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-    if (mode_tag != static_cast<uint8_t>(MaskingMode::kPerPair)) {
-      return Status::ProtocolViolation(
-          "initiator masking mode disagrees with this site's configuration");
-    }
-    if (declared_begin != row_begin || declared_end != row_end) {
-      return Status::ProtocolViolation(
-          "initiator tile covers rows [" + std::to_string(declared_begin) +
-          ", " + std::to_string(declared_end) + "), the schedule expects [" +
-          std::to_string(row_begin) + ", " + std::to_string(row_end) + ")");
-    }
-    if (rows == 0 || masked.size() % rows != 0) {
+    // The mask block is rows x (initiator objects); taking the width from
+    // the roster keeps an empty range (a 0-object responder) well-formed.
+    PPC_ASSIGN_OR_RETURN(cols, RosterCount(initiator));
+    if (masked.size() != rows * cols) {
       return Status::ProtocolViolation("per-pair mask tile not rectangular");
     }
-    cols = masked.size() / rows;
     const std::string label =
         NumericLabel(column, initiator, name_) + TileSuffix(row_begin);
     PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jk,
@@ -700,14 +494,6 @@ Status DataHolder::BuildAlphanumericGridsTile(size_t column,
                                               const std::string& initiator,
                                               uint64_t row_begin,
                                               uint64_t row_end) {
-  PPC_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> own,
-                       EncodedStringColumn(column));
-  if (row_begin > row_end || row_end > own.size()) {
-    return Status::InvalidArgument(
-        "tile row range [" + std::to_string(row_begin) + ", " +
-        std::to_string(row_end) + ") out of range for " +
-        std::to_string(own.size()) + " objects");
-  }
   PPC_ASSIGN_OR_RETURN(std::string inbound,
                        ConsumePendingShared(InboundSlot(column, initiator)));
   ByteReader reader(inbound);
@@ -721,6 +507,14 @@ Status DataHolder::BuildAlphanumericGridsTile(size_t column,
                        reader.ReadBytesVector());
   PPC_RETURN_IF_ERROR(reader.ExpectEnd());
 
+  PPC_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> own,
+                       EncodedStringColumn(column));
+  if (row_begin > row_end || row_end > own.size()) {
+    return Status::InvalidArgument(
+        "tile row range [" + std::to_string(row_begin) + ", " +
+        std::to_string(row_end) + ") out of range for " +
+        std::to_string(own.size()) + " objects");
+  }
   std::vector<std::vector<uint8_t>> masked;
   masked.reserve(masked_bytes.size());
   for (const std::string& bytes : masked_bytes) {

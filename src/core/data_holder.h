@@ -80,106 +80,49 @@ class DataHolder {
 
   // -- Protocol steps (per attribute) ---------------------------------------
   //
-  // The heavy steps are split receive/build/send so the schedule graph
-  // (core/schedule.h) can keep per-channel FIFO order while running a
-  // responder's per-attribute computations concurrently: a receive stashes
-  // the raw inbound payload (cheap, FIFO-critical), a build consumes the
-  // stash and produces the outbound payload (expensive, order-free), a
-  // send ships it (cheap, FIFO-critical). The Run* compositions perform
-  // all stages inline — handy for unit tests and single-step drivers; the
-  // executors never use them.
+  // The quadratic steps of phases 4-5 each cover rows [row_begin, row_end)
+  // of one attribute's payload: the holder's own rows of its local matrix,
+  // or the responder's rows of a comparison round. A round is one range
+  // over all rows (tile_size 0) or several row tiles; either way no step
+  // materializes more than its range of a local or comparison matrix, and
+  // the final matrices do not depend on the ranges. The steps are split
+  // receive/build/send so the schedule graph (core/schedule.h) can keep
+  // per-channel FIFO order while running a responder's computations
+  // concurrently: a receive stashes the raw inbound payload (cheap,
+  // FIFO-critical), a build consumes the stash and produces the outbound
+  // payload (expensive, order-free), a send ships it (cheap,
+  // FIFO-critical).
 
-  /// Fig. 12 for one attribute: builds the local dissimilarity matrix of
-  /// `column` and stashes the serialized message.
-  Status BuildLocalMatrix(size_t column);
+  /// Fig. 12, rows [row_begin, row_end) only: builds that slice of the
+  /// local dissimilarity matrix of `column` and stashes the range message.
+  Status BuildLocalMatrixTile(size_t column, uint64_t row_begin,
+                              uint64_t row_end);
 
-  /// Ships the stashed local matrix of `column` to the third party.
-  Status SendLocalMatrix(size_t column, const std::string& third_party);
+  /// Ships the stashed local-matrix range of (`column`, `row_begin`).
+  Status SendLocalMatrixTile(size_t column, uint64_t row_begin,
+                             const std::string& third_party);
 
-  /// Fig. 12 + ship for every numeric and alphanumeric attribute
-  /// (BuildLocalMatrix + SendLocalMatrix in column order).
-  Status SendLocalMatrices(const std::string& third_party);
-
-  /// Fig. 4 (or the per-pair variant): masks this site's column `column`
-  /// and sends it to `responder`.
+  /// Fig. 4, batch masking: masks this site's column `column` once and
+  /// sends the whole masked vector to `responder`, whose row-range builds
+  /// all share it. (Per-pair masking uses RunNumericInitiatorTile.)
   Status RunNumericInitiator(size_t column, const std::string& responder);
 
-  /// Receives the initiator's masked vector for `column` and stashes it.
-  Status ReceiveNumericMasked(size_t column, const std::string& initiator);
-
-  /// Fig. 5 arithmetic: builds the pair-wise comparison matrix from the
-  /// stashed masked vector; stashes the result message.
-  Status BuildNumericComparison(size_t column, const std::string& initiator);
-
-  /// Ships the stashed comparison matrix for (`column`, `initiator`) to
-  /// the third party.
-  Status SendNumericComparison(size_t column, const std::string& initiator,
-                               const std::string& third_party);
-
-  /// Fig. 5 composition: ReceiveNumericMasked + BuildNumericComparison +
-  /// SendNumericComparison.
-  Status RunNumericResponder(size_t column, const std::string& initiator,
-                             const std::string& third_party);
+  /// Per-pair masking: masks this site's column against responder rows
+  /// [row_begin, row_end) with a range-fresh mask stream and sends it.
+  Status RunNumericInitiatorTile(size_t column, const std::string& responder,
+                                 uint64_t row_begin, uint64_t row_end);
 
   /// Fig. 8: masks this site's strings and sends them to `responder`.
   Status RunAlphanumericInitiator(size_t column, const std::string& responder);
 
-  /// Receives the initiator's masked strings for `column` and stashes them.
-  Status ReceiveAlphanumericMasked(size_t column, const std::string& initiator);
-
-  /// Fig. 9 arithmetic: builds the intermediary CCM grids from the stashed
-  /// masked strings; stashes the result message.
-  Status BuildAlphanumericGrids(size_t column, const std::string& initiator);
-
-  /// Ships the stashed grids for (`column`, `initiator`) to the third
-  /// party.
-  Status SendAlphanumericGrids(size_t column, const std::string& initiator,
-                               const std::string& third_party);
-
-  /// Fig. 9 composition: ReceiveAlphanumericMasked + BuildAlphanumericGrids
-  /// + SendAlphanumericGrids.
-  Status RunAlphanumericResponder(size_t column, const std::string& initiator,
-                                  const std::string& third_party);
-
-  /// Sec. 4.3: deterministically encrypts the categorical column and sends
-  /// the tokens to the third party.
-  Status SendCategoricalTokens(size_t column, const std::string& third_party);
-
-  // -- Tiled protocol steps (tile_size > 0 schedules) ------------------------
-  //
-  // Row-range variants of the quadratic steps above: each handles triangle
-  // or block rows [row_begin, row_end) of one attribute's payload, so no
-  // step ever materializes more than one tile of a local or comparison
-  // matrix and the third party pipelines installs against later builds.
-  // Final matrices are bit-identical to the whole-matrix steps at any
-  // tiling; only the wire framing differs (per-tile headers, and fresh
-  // per-tile mask streams in per-pair mode — any consistent mask stream
-  // recovers the same distances).
-
-  /// Fig. 12, rows [row_begin, row_end) only: builds that slice of the
-  /// local dissimilarity matrix of `column` and stashes the tile message.
-  Status BuildLocalMatrixTile(size_t column, uint64_t row_begin,
-                              uint64_t row_end);
-
-  /// Ships the stashed local-matrix tile of (`column`, `row_begin`).
-  Status SendLocalMatrixTile(size_t column, uint64_t row_begin,
-                             const std::string& third_party);
-
-  /// Per-pair masking only: masks this site's column against responder rows
-  /// [row_begin, row_end) with a tile-fresh mask stream and sends the tile.
-  /// (Batch and alphanumeric initiators are not tiled — every tile build
-  /// reads the same whole masked message.)
-  Status RunNumericInitiatorTile(size_t column, const std::string& responder,
-                                 uint64_t row_begin, uint64_t row_end);
-
-  /// Receives the initiator's per-pair masked tile for (`column`,
+  /// Receives the initiator's per-pair masked range for (`column`,
   /// `row_begin`) and stashes it.
   Status ReceiveNumericMaskedTile(size_t column, const std::string& initiator,
                                   uint64_t row_begin);
 
   /// Receives the initiator's whole masked vector for `column` and stashes
-  /// it for `uses` tile builds (refcounted — the stash lives until the last
-  /// build consumes it).
+  /// it for `uses` range builds (refcounted — the stash lives until the
+  /// last build consumes it).
   Status ReceiveNumericMaskedShared(size_t column, const std::string& initiator,
                                     uint32_t uses);
 
@@ -190,25 +133,29 @@ class DataHolder {
 
   /// Fig. 5 arithmetic for own rows [row_begin, row_end): builds that slice
   /// of the comparison matrix (batch mode reads the shared masked vector;
-  /// per-pair mode its own masked tile) and stashes the tile message.
+  /// per-pair mode its own masked range) and stashes the range message.
   Status BuildNumericComparisonTile(size_t column, const std::string& initiator,
                                     uint64_t row_begin, uint64_t row_end);
 
   /// Fig. 9 arithmetic for own strings [row_begin, row_end): builds those
-  /// rows of CCM grids from the shared masked strings; stashes the tile.
+  /// rows of CCM grids from the shared masked strings; stashes the range.
   Status BuildAlphanumericGridsTile(size_t column, const std::string& initiator,
                                     uint64_t row_begin, uint64_t row_end);
 
-  /// Ships the stashed comparison tile for (`column`, `initiator`,
+  /// Ships the stashed comparison range for (`column`, `initiator`,
   /// `row_begin`) to the third party.
   Status SendNumericComparisonTile(size_t column, const std::string& initiator,
                                    const std::string& third_party,
                                    uint64_t row_begin);
 
-  /// Ships the stashed grid tile for (`column`, `initiator`, `row_begin`).
+  /// Ships the stashed grid range for (`column`, `initiator`, `row_begin`).
   Status SendAlphanumericGridsTile(size_t column, const std::string& initiator,
                                    const std::string& third_party,
                                    uint64_t row_begin);
+
+  /// Sec. 4.3: deterministically encrypts the categorical column and sends
+  /// the tokens to the third party.
+  Status SendCategoricalTokens(size_t column, const std::string& third_party);
 
   // -- Results ---------------------------------------------------------------
 
@@ -226,7 +173,7 @@ class DataHolder {
   Result<uint64_t> RosterCount(const std::string& party) const;
 
   /// The protocol configuration this holder runs with (schedule drivers
-  /// consult it to build matching tiled graphs).
+  /// consult it to build the matching graph).
   const ProtocolConfig& config() const { return config_; }
 
  private:
@@ -255,7 +202,7 @@ class DataHolder {
     return network_->ReceiveCancellable(name_, from, topic, cancel_);
   }
 
-  /// Refcounted variant for payloads shared by several tile builds: the
+  /// Refcounted variant for payloads shared by several range builds: the
   /// stash records `uses`, each consume copies the payload and decrements
   /// (the last consumer moves it out and erases the slot).
   void StashPendingShared(const std::string& slot, std::string payload,

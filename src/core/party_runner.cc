@@ -22,35 +22,44 @@ Status HolderInPlan(const SessionPlan& plan, const std::string& name) {
   return Status::NotFound("holder '" + name + "' is not in the session plan");
 }
 
+/// Runs `party`'s projection of the graph its config determines.
+/// `Party` is DataHolder or ThirdParty.
+template <typename Party>
+Status RunOwnSteps(Party* party, const SessionPlan& plan,
+                   const Schema& schema) {
+  Schedule::Options options;
+  options.tile_size = party->config().tile_size;
+  options.masking = party->config().masking_mode;
+  if (options.tile_size == 0) {
+    // One open row range per round: the graph needs no object counts.
+    PPC_ASSIGN_OR_RETURN(Schedule schedule,
+                         Schedule::Build(plan, schema, options));
+    return ScheduleExecutor::RunParty(schedule, party);
+  }
+  // Tiled run. Tile boundaries are part of the graph and depend on every
+  // holder's object count, which a distributed process only learns from
+  // the phase-1 roster. Phases 1-3 do not depend on the tile size (tiling
+  // only reshapes phases 4-5), so: run setup from the tile_size 0 graph,
+  // read the counts off the roster, and resume from phase 4 on the tiled
+  // graph those counts determine. Every process performs the same split,
+  // so per-channel wire order still follows one global canonical order.
+  PPC_ASSIGN_OR_RETURN(Schedule setup, Schedule::Build(plan, schema));
+  PPC_RETURN_IF_ERROR(ScheduleExecutor::RunParty(setup, party, 1, 3));
+  options.holder_objects.reserve(plan.holder_order.size());
+  for (const std::string& name : plan.holder_order) {
+    PPC_ASSIGN_OR_RETURN(uint64_t count, party->RosterCount(name));
+    options.holder_objects.push_back(count);
+  }
+  PPC_ASSIGN_OR_RETURN(Schedule tiled, Schedule::Build(plan, schema, options));
+  return ScheduleExecutor::RunParty(tiled, party, 4, kLastPhase);
+}
+
 }  // namespace
 
 Status PartyRunner::RunHolder(DataHolder* holder, const SessionPlan& plan,
                               const Schema& schema) {
   PPC_RETURN_IF_ERROR(HolderInPlan(plan, holder->name()));
-  if (holder->config().tile_size == 0) {
-    PPC_ASSIGN_OR_RETURN(Schedule schedule, Schedule::Build(plan, schema));
-    return ScheduleExecutor::RunParty(schedule, holder);
-  }
-  // Tiled run. Tile boundaries are part of the graph and depend on every
-  // holder's object count, which a distributed process only learns from
-  // the phase-1 roster. Phases 1-3 are identical in tiled and untiled
-  // graphs (tiling only reshapes phases 4-5), so: run setup from the
-  // untiled graph, read the counts off the roster, and resume from phase 4
-  // on the tiled graph those counts determine. Every process performs the
-  // same split, so per-channel wire order still follows one global
-  // canonical order.
-  PPC_ASSIGN_OR_RETURN(Schedule setup, Schedule::Build(plan, schema));
-  PPC_RETURN_IF_ERROR(ScheduleExecutor::RunParty(setup, holder, 1, 3));
-  Schedule::Options options;
-  options.tile_size = holder->config().tile_size;
-  options.masking = holder->config().masking_mode;
-  options.holder_objects.reserve(plan.holder_order.size());
-  for (const std::string& name : plan.holder_order) {
-    PPC_ASSIGN_OR_RETURN(uint64_t count, holder->RosterCount(name));
-    options.holder_objects.push_back(count);
-  }
-  PPC_ASSIGN_OR_RETURN(Schedule tiled, Schedule::Build(plan, schema, options));
-  return ScheduleExecutor::RunParty(tiled, holder, 4, kLastPhase);
+  return RunOwnSteps(holder, plan, schema);
 }
 
 Status PartyRunner::RunThirdParty(ThirdParty* third_party,
@@ -61,25 +70,7 @@ Status PartyRunner::RunThirdParty(ThirdParty* third_party,
                                    "' does not match the plan's '" +
                                    plan.third_party + "'");
   }
-  if (third_party->config().tile_size == 0) {
-    PPC_ASSIGN_OR_RETURN(Schedule schedule, Schedule::Build(plan, schema));
-    return ScheduleExecutor::RunParty(schedule, third_party);
-  }
-  // Same two-stage split as RunHolder: setup phases from the untiled
-  // graph, then phases 4-6 from the tiled graph built with the roster's
-  // object counts.
-  PPC_ASSIGN_OR_RETURN(Schedule setup, Schedule::Build(plan, schema));
-  PPC_RETURN_IF_ERROR(ScheduleExecutor::RunParty(setup, third_party, 1, 3));
-  Schedule::Options options;
-  options.tile_size = third_party->config().tile_size;
-  options.masking = third_party->config().masking_mode;
-  options.holder_objects.reserve(plan.holder_order.size());
-  for (const std::string& name : plan.holder_order) {
-    PPC_ASSIGN_OR_RETURN(uint64_t count, third_party->RosterCount(name));
-    options.holder_objects.push_back(count);
-  }
-  PPC_ASSIGN_OR_RETURN(Schedule tiled, Schedule::Build(plan, schema, options));
-  return ScheduleExecutor::RunParty(tiled, third_party, 4, kLastPhase);
+  return RunOwnSteps(third_party, plan, schema);
 }
 
 Result<ClusteringOutcome> PartyRunner::RequestClustering(

@@ -34,7 +34,7 @@ class PartyRunner {
   /// Runs a data holder's side of phases 1-5 (hello through comparison
   /// rounds). The holder must have its data installed and appear in
   /// `plan.holder_order`. When the holder's config sets `tile_size > 0`
-  /// the run is two-stage: setup phases on the untiled graph, then the
+  /// the run is two-stage: setup phases on the tile_size 0 graph, then the
   /// quadratic phases on the tiled graph built from the roster's object
   /// counts (see ScheduleExecutor::RunParty's phase-bounded overloads).
   static Status RunHolder(DataHolder* holder, const SessionPlan& plan,

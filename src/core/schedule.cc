@@ -120,15 +120,16 @@ struct RowRange {
   uint64_t end = 0;
 };
 
-/// Row tiles of a party with `n` objects: [0,T), [T,2T), ..., last one
-/// clipped to n. tile >= n degenerates to the single tile [0, n); n == 0
-/// still yields one (empty) tile so the round's messages flow and the
-/// third party can validate the roster count.
+/// Row ranges of a party with `n` objects: [0,T), [T,2T), ..., last one
+/// clipped to n. tile >= n degenerates to the single range [0, n); n == 0
+/// still yields one (empty) range so the round's messages flow and the
+/// third party can validate the roster count. tile == 0 is one open range
+/// [0, kAllRows), which needs no count.
 std::vector<RowRange> TileRanges(uint64_t n, size_t tile) {
   std::vector<RowRange> ranges;
   const uint64_t step = static_cast<uint64_t>(tile);
-  if (n == 0) {
-    ranges.push_back({0, 0});
+  if (tile == 0 || n == 0) {
+    ranges.push_back({0, tile == 0 ? kAllRows : 0});
     return ranges;
   }
   for (uint64_t begin = 0; begin < n; begin += step) {
@@ -139,11 +140,15 @@ std::vector<RowRange> TileRanges(uint64_t n, size_t tile) {
 
 }  // namespace
 
-Schedule::Schedule(SessionPlan plan, Schema schema)
-    : plan_(std::move(plan)), schema_(std::move(schema)) {}
+Schedule::Schedule(SessionPlan plan, Schema schema, MaskingMode masking)
+    : plan_(std::move(plan)), schema_(std::move(schema)), masking_(masking) {}
 
 bool Schedule::IsNumericColumn(size_t column) const {
   return IsNumericType(schema_.attribute(column).type);
+}
+
+bool Schedule::RowRangedInitiator(size_t column) const {
+  return IsNumericColumn(column) && masking_ == MaskingMode::kPerPair;
 }
 
 Result<Schedule> Schedule::Build(const SessionPlan& plan,
@@ -176,8 +181,7 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
     }
   }
 
-  const bool tiled = options.tile_size > 0;
-  if (tiled &&
+  if (options.tile_size > 0 &&
       options.holder_objects.size() != plan.holder_order.size()) {
     return Status::InvalidArgument(
         "tiled schedule (tile_size > 0) needs one holder_objects entry per "
@@ -187,11 +191,16 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
   const std::vector<std::string>& holders = plan.holder_order;
   const std::string& tp = plan.third_party;
   const size_t k = holders.size();
-  // Holder -> object count; only consulted when tiling.
-  auto holder_rows = [&](size_t holder_index) -> uint64_t {
-    return tiled ? options.holder_objects[holder_index] : 0;
+  // Row ranges of holder `holder_index`'s rounds; counts only matter when
+  // tiling.
+  auto ranges_of = [&](size_t holder_index) {
+    return TileRanges(options.tile_size > 0
+                          ? options.holder_objects[holder_index]
+                          : 0,
+                      options.tile_size);
   };
   GraphBuilder b;
+  Schedule schedule(plan, schema, options.masking);
 
   // -- Phases 1-3: setup, one chain in canonical order. ----------------------
   // Setup is a vanishing fraction of the run, and chaining it whole keeps
@@ -295,22 +304,19 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
   const uint32_t setup_end = prev;
 
   // -- Phase 4: local dissimilarity matrices. --------------------------------
-  // Tiled runs split each per-attribute matrix into row-range tiles, each
-  // with its own build/send/receive steps: the third party installs early
+  // Each per-attribute matrix is sent as row ranges, each with its own
+  // build/send/receive steps: with tiling, the third party installs early
   // tiles while the holder is still computing later ones, and nothing ever
   // materializes more than one tile's worth of payload per message.
   std::vector<uint32_t> tp_terminal;  // Everything kNormalize waits on.
   for (size_t hi = 0; hi < k; ++hi) {
     const std::string& h = holders[hi];
-    const std::vector<RowRange> tiles =
-        tiled ? TileRanges(holder_rows(hi), options.tile_size)
-              : std::vector<RowRange>{RowRange{}};
+    const std::vector<RowRange> tiles = ranges_of(hi);
     for (size_t c = 0; c < schema.size(); ++c) {
       if (schema.attribute(c).type == AttributeType::kCategorical) continue;
       for (const RowRange& r : tiles) {
         ScheduleStep build = MakeStep(StepKind::kLocalMatrixBuild, 4, h);
         build.column = c;
-        build.tiled = tiled;
         build.row_begin = r.begin;
         build.row_end = r.end;
         uint32_t bid = b.Add(std::move(build));
@@ -321,7 +327,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
         send.column = c;
         send.topic = topics::kLocalMatrix;
         send.sends = true;
-        send.tiled = tiled;
         send.row_begin = r.begin;
         send.row_end = r.end;
         uint32_t sid = b.Add(std::move(send));
@@ -337,7 +342,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
         recv.column = c;
         recv.topic = topics::kLocalMatrix;
         recv.receives = true;
-        recv.tiled = tiled;
         recv.row_begin = r.begin;
         recv.row_end = r.end;
         uint32_t rid = b.Add(std::move(recv));
@@ -402,24 +406,20 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
     const char* result_topic = IsNumericType(schema.attribute(c).type)
                                    ? topics::kNumericComparison
                                    : topics::kAlnumGrids;
-    const bool numeric = IsNumericType(schema.attribute(c).type);
     for (size_t i = 0; i < k; ++i) {
       for (size_t j = i + 1; j < k; ++j) {
         const std::string& initiator = holders[i];
         const std::string& responder = holders[j];
-        // Tiles split the responder's rows of the comparison payload. The
-        // batch and alphanumeric initiators still ship one whole masked
-        // message (every tile build reads it — the receive records how
-        // many, for the refcounted stash); the per-pair numeric initiator
-        // draws a fresh mask stream per tile, so its sends tile too.
-        const std::vector<RowRange> tiles =
-            tiled ? TileRanges(holder_rows(j), options.tile_size)
-                  : std::vector<RowRange>{RowRange{}};
-        const bool tiled_init =
-            tiled && numeric && options.masking == MaskingMode::kPerPair;
+        // Ranges split the responder's rows of the comparison payload. The
+        // batch and alphanumeric initiators ship one whole masked message
+        // (every range build reads it — the receive records how many, for
+        // the refcounted stash); the per-pair numeric initiator draws a
+        // fresh mask stream per range, so it sends one message per range.
+        const std::vector<RowRange> tiles = ranges_of(j);
+        const bool ranged_init = schedule.RowRangedInitiator(c);
 
         uint32_t shared_recv_id = 0;
-        if (!tiled_init) {
+        if (!ranged_init) {
           ScheduleStep init = MakeStep(StepKind::kComparisonInit, 5,
                                        initiator);
           init.peer = responder;
@@ -437,9 +437,7 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           recv.column = c;
           recv.topic = masked_topic;
           recv.receives = true;
-          if (tiled) {
-            recv.shared_uses = static_cast<uint32_t>(tiles.size());
-          }
+          recv.shared_uses = static_cast<uint32_t>(tiles.size());
           shared_recv_id = b.Add(std::move(recv));
           b.NoteReceive(shared_recv_id, initiator, responder);
           group_chain(responder, shared_recv_id);
@@ -447,14 +445,13 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
 
         for (const RowRange& r : tiles) {
           uint32_t build_dep = shared_recv_id;
-          if (tiled_init) {
+          if (ranged_init) {
             ScheduleStep init = MakeStep(StepKind::kComparisonInit, 5,
                                          initiator);
             init.peer = responder;
             init.column = c;
             init.topic = masked_topic;
             init.sends = true;
-            init.tiled = true;
             init.row_begin = r.begin;
             init.row_end = r.end;
             uint32_t init_id = b.Add(std::move(init));
@@ -468,7 +465,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
             recv.column = c;
             recv.topic = masked_topic;
             recv.receives = true;
-            recv.tiled = true;
             recv.row_begin = r.begin;
             recv.row_end = r.end;
             build_dep = b.Add(std::move(recv));
@@ -480,7 +476,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
                                         responder);
           build.peer = initiator;
           build.column = c;
-          build.tiled = tiled;
           build.row_begin = r.begin;
           build.row_end = r.end;
           uint32_t build_id = b.Add(std::move(build));
@@ -494,7 +489,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           send.column = c;
           send.topic = result_topic;
           send.sends = true;
-          send.tiled = tiled;
           send.row_begin = r.begin;
           send.row_end = r.end;
           uint32_t send_id = b.Add(std::move(send));
@@ -509,7 +503,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           collect.column = c;
           collect.topic = result_topic;
           collect.receives = true;
-          collect.tiled = tiled;
           collect.row_begin = r.begin;
           collect.row_end = r.end;
           uint32_t collect_id = b.Add(std::move(collect));
@@ -521,7 +514,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
           install.peer = responder;
           install.initiator = initiator;
           install.column = c;
-          install.tiled = tiled;
           install.row_begin = r.begin;
           install.row_end = r.end;
           uint32_t install_id = b.Add(std::move(install));
@@ -540,7 +532,6 @@ Result<Schedule> Schedule::Build(const SessionPlan& plan, const Schema& schema,
     if (tp_terminal.empty()) b.AddDep(id, setup_end);
   }
 
-  Schedule schedule(plan, schema);
   schedule.steps_ = b.TakeSteps();
   return schedule;
 }
@@ -652,6 +643,10 @@ Status ExecuteScheduleStep(const Schedule& schedule, const ScheduleStep& step,
                                      ", actor '" + step.actor + "')");
     }
   }
+  // Open row ranges (kAllRows, the tile_size 0 graph) are closed here, the
+  // one place a step meets a party: with the acting holder's own object
+  // count, or with the roster count of the responder whose rows the step
+  // covers.
   switch (step.kind) {
     case StepKind::kHello:
       return holder->SendHello(plan.third_party);
@@ -672,82 +667,64 @@ Status ExecuteScheduleStep(const Schedule& schedule, const ScheduleStep& step,
     case StepKind::kCategoricalKeyReceive:
       return holder->ReceiveCategoricalKey(step.peer);
     case StepKind::kLocalMatrixBuild:
-      return step.tiled ? holder->BuildLocalMatrixTile(
-                              step.column, step.row_begin, step.row_end)
-                        : holder->BuildLocalMatrix(step.column);
+      return holder->BuildLocalMatrixTile(step.column, step.row_begin,
+                                          step.RowEnd(holder->NumObjects()));
     case StepKind::kLocalMatrixSend:
-      return step.tiled
-                 ? holder->SendLocalMatrixTile(step.column, step.row_begin,
-                                               plan.third_party)
-                 : holder->SendLocalMatrix(step.column, plan.third_party);
+      return holder->SendLocalMatrixTile(step.column, step.row_begin,
+                                         plan.third_party);
     case StepKind::kLocalMatrixReceive:
-      return step.tiled ? third_party->ReceiveLocalMatrixTile(step.peer)
-                        : third_party->ReceiveLocalMatrix(step.peer);
-    case StepKind::kComparisonInit:
-      if (step.tiled) {
-        // Only the per-pair numeric initiator tiles its sends.
-        return holder->RunNumericInitiatorTile(step.column, step.peer,
-                                               step.row_begin, step.row_end);
+      return third_party->ReceiveLocalMatrixTile(step.peer);
+    case StepKind::kComparisonInit: {
+      if (!schedule.IsNumericColumn(step.column)) {
+        return holder->RunAlphanumericInitiator(step.column, step.peer);
       }
-      return schedule.IsNumericColumn(step.column)
-                 ? holder->RunNumericInitiator(step.column, step.peer)
-                 : holder->RunAlphanumericInitiator(step.column, step.peer);
+      if (!schedule.RowRangedInitiator(step.column)) {
+        return holder->RunNumericInitiator(step.column, step.peer);
+      }
+      PPC_ASSIGN_OR_RETURN(uint64_t responder_rows,
+                           holder->RosterCount(step.peer));
+      return holder->RunNumericInitiatorTile(step.column, step.peer,
+                                             step.row_begin,
+                                             step.RowEnd(responder_rows));
+    }
     case StepKind::kComparisonReceive:
-      if (step.tiled) {
+      if (schedule.RowRangedInitiator(step.column)) {
         return holder->ReceiveNumericMaskedTile(step.column, step.peer,
                                                 step.row_begin);
       }
-      if (step.shared_uses > 0) {
-        return schedule.IsNumericColumn(step.column)
-                   ? holder->ReceiveNumericMaskedShared(step.column, step.peer,
-                                                        step.shared_uses)
-                   : holder->ReceiveAlphanumericMaskedShared(
-                         step.column, step.peer, step.shared_uses);
-      }
       return schedule.IsNumericColumn(step.column)
-                 ? holder->ReceiveNumericMasked(step.column, step.peer)
-                 : holder->ReceiveAlphanumericMasked(step.column, step.peer);
-    case StepKind::kComparisonBuild:
-      if (step.tiled) {
-        return schedule.IsNumericColumn(step.column)
-                   ? holder->BuildNumericComparisonTile(
-                         step.column, step.peer, step.row_begin, step.row_end)
-                   : holder->BuildAlphanumericGridsTile(
-                         step.column, step.peer, step.row_begin, step.row_end);
-      }
+                 ? holder->ReceiveNumericMaskedShared(step.column, step.peer,
+                                                      step.shared_uses)
+                 : holder->ReceiveAlphanumericMaskedShared(
+                       step.column, step.peer, step.shared_uses);
+    case StepKind::kComparisonBuild: {
+      const uint64_t row_end = step.RowEnd(holder->NumObjects());
       return schedule.IsNumericColumn(step.column)
-                 ? holder->BuildNumericComparison(step.column, step.peer)
-                 : holder->BuildAlphanumericGrids(step.column, step.peer);
+                 ? holder->BuildNumericComparisonTile(step.column, step.peer,
+                                                      step.row_begin, row_end)
+                 : holder->BuildAlphanumericGridsTile(step.column, step.peer,
+                                                      step.row_begin, row_end);
+    }
     case StepKind::kComparisonSend:
-      if (step.tiled) {
-        return schedule.IsNumericColumn(step.column)
-                   ? holder->SendNumericComparisonTile(
-                         step.column, step.initiator, plan.third_party,
-                         step.row_begin)
-                   : holder->SendAlphanumericGridsTile(
-                         step.column, step.initiator, plan.third_party,
-                         step.row_begin);
-      }
       return schedule.IsNumericColumn(step.column)
-                 ? holder->SendNumericComparison(step.column, step.initiator,
-                                                 plan.third_party)
-                 : holder->SendAlphanumericGrids(step.column, step.initiator,
-                                                 plan.third_party);
+                 ? holder->SendNumericComparisonTile(step.column,
+                                                     step.initiator,
+                                                     plan.third_party,
+                                                     step.row_begin)
+                 : holder->SendAlphanumericGridsTile(step.column,
+                                                     step.initiator,
+                                                     plan.third_party,
+                                                     step.row_begin);
     case StepKind::kComparisonCollect:
-      return step.tiled
-                 ? third_party->CollectComparisonTile(step.column,
-                                                      step.initiator,
-                                                      step.peer,
-                                                      step.row_begin)
-                 : third_party->CollectComparison(step.column, step.initiator,
-                                                  step.peer);
-    case StepKind::kComparisonInstall:
-      return step.tiled
-                 ? third_party->InstallComparisonTile(
-                       step.column, step.initiator, step.peer, step.row_begin,
-                       step.row_end)
-                 : third_party->InstallComparison(step.column, step.initiator,
-                                                  step.peer);
+      return third_party->CollectComparisonTile(step.column, step.initiator,
+                                                step.peer, step.row_begin);
+    case StepKind::kComparisonInstall: {
+      PPC_ASSIGN_OR_RETURN(uint64_t responder_rows,
+                           third_party->RosterCount(step.peer));
+      return third_party->InstallComparisonTile(
+          step.column, step.initiator, step.peer, step.row_begin,
+          step.RowEnd(responder_rows));
+    }
     case StepKind::kCategoricalTokensSend:
       return holder->SendCategoricalTokens(step.column, plan.third_party);
     case StepKind::kCategoricalTokensReceive:

@@ -71,6 +71,9 @@ const char* StepKindToString(StepKind kind);
 
 inline constexpr size_t kNoColumn = static_cast<size_t>(-1);
 
+/// Open end of a row range: "through the range owner's last row".
+inline constexpr uint64_t kAllRows = ~uint64_t{0};
+
 /// Highest paper phase a schedule step can carry (1 = hello .. 6 =
 /// normalize). Phase-bounded executors use it as the open upper bound.
 inline constexpr int kLastPhase = 6;
@@ -107,17 +110,23 @@ struct ScheduleStep {
   /// Always strictly smaller than the step's own id, so index order is a
   /// topological order.
   std::vector<uint32_t> deps;
-  /// Tiled quadratic phases (Options::tile_size > 0): true when this step
-  /// covers only the actor-row range [row_begin, row_end) of its phase-4
-  /// local matrix or phase-5 comparison payload, instead of the whole
-  /// matrix. Tile steps use the tile entry points of the parties.
-  bool tiled = false;
+  /// Phase-4/5 row range: the step covers rows [row_begin, row_end) of
+  /// its round's range owner — the holder whose local matrix it carries
+  /// (phase 4), or the responder of its comparison round (phase 5). A
+  /// `tile_size` 0 graph gives every round one range with the open end
+  /// `kAllRows`, so it builds without object counts; `ExecuteScheduleStep`
+  /// closes it with the owner's count. Unused (0, 0) on the one batch or
+  /// alphanumeric initiator message of a round and its shared receive.
   uint64_t row_begin = 0;
   uint64_t row_end = 0;
-  /// For the one shared `kComparisonReceive` of a tiled batch/alphanumeric
-  /// round: how many downstream tile builds consume the stashed inbound
-  /// masked payload (they run in any order, so the stash is refcounted).
-  /// 0 on every other step.
+  /// `row_end`, with an open range closed at `owner_rows`.
+  uint64_t RowEnd(uint64_t owner_rows) const {
+    return row_end == kAllRows ? owner_rows : row_end;
+  }
+  /// For the one shared `kComparisonReceive` of a batch or alphanumeric
+  /// round: how many downstream row-range builds consume the stashed
+  /// inbound masked payload (they run in any order, so the stash is
+  /// refcounted). 0 on every other step.
   uint32_t shared_uses = 0;
 };
 
@@ -149,18 +158,18 @@ class Schedule {
     /// conservative schedule, kept as an escape hatch (CLI
     /// `--schedule=grouped`); results are bit-identical either way.
     ScheduleGranularity granularity = ScheduleGranularity::kFine;
-    /// Row-tile height for phases 4-5 (ProtocolConfig::tile_size). 0 keeps
-    /// the whole-matrix steps. A positive value splits every local-matrix
-    /// and comparison round into per-tile build/send/collect/install steps
-    /// over row ranges of at most `tile_size` rows, so the third party
-    /// unmasks early tiles while later ones are still in flight. Requires
-    /// `holder_objects`.
+    /// Row-tile height for phases 4-5 (ProtocolConfig::tile_size). Every
+    /// local-matrix and comparison round runs as per-range
+    /// build/send/collect/install steps. A positive value splits each
+    /// round into ranges of at most `tile_size` rows, so the third party
+    /// unmasks early tiles while later ones are still in flight; requires
+    /// `holder_objects`. 0 gives each round one open range over all of
+    /// its owner's rows, so the graph needs no object counts.
     size_t tile_size = 0;
-    /// Masking mode of the run (ProtocolConfig::masking_mode). Only
-    /// consulted when tiling: the per-pair protocol's initiator payload is
-    /// itself row-tiled (one masked tile per fresh tile generator), while
-    /// the batch initiator ships one whole masked vector that every tile
-    /// build shares.
+    /// Masking mode of the run (ProtocolConfig::masking_mode). The
+    /// per-pair numeric initiator sends one masked message per row range
+    /// (a fresh mask stream each), while the batch initiator ships one
+    /// whole masked vector that every range build shares.
     MaskingMode masking = MaskingMode::kBatch;
     /// Object count of each holder, parallel to `plan.holder_order`.
     /// Required when tile_size > 0 (tile boundaries are part of the graph);
@@ -183,6 +192,11 @@ class Schedule {
   /// True if `column` is compared with the numeric protocol (Fig. 4-6).
   bool IsNumericColumn(size_t column) const;
 
+  /// True if the initiator of `column`'s comparison rounds sends one
+  /// masked message per row range (per-pair numeric masking) rather than
+  /// one message the range builds share.
+  bool RowRangedInitiator(size_t column) const;
+
   /// Directed channels ({from, to} pairs) the schedule sends on, in first-
   /// use order. The traffic audit taps exactly these.
   std::vector<std::pair<std::string, std::string>> Channels() const;
@@ -201,10 +215,11 @@ class Schedule {
   size_t MaxReadyWidth(int phase) const;
 
  private:
-  Schedule(SessionPlan plan, Schema schema);
+  Schedule(SessionPlan plan, Schema schema, MaskingMode masking);
 
   SessionPlan plan_;
   Schema schema_;
+  MaskingMode masking_;
   std::vector<ScheduleStep> steps_;
 };
 
@@ -239,9 +254,9 @@ class ScheduleExecutor {
   static Status RunParty(const Schedule& schedule, ThirdParty* third_party);
 
   /// Same, restricted to steps whose phase lies in [phase_begin, phase_end].
-  /// Tiled distributed runs use this split: phases 1-3 are identical in
-  /// tiled and untiled graphs (tiling only reshapes phases 4-5), so a
-  /// process runs setup from the untiled graph, learns every holder's
+  /// Distributed runs with tile_size > 0 use this split: phases 1-3 do not
+  /// depend on the tile size (tiling only reshapes phases 4-5), so a
+  /// process runs setup from the tile_size 0 graph, learns every holder's
   /// object count from the roster, builds the tiled graph those counts
   /// determine, and resumes from phase 4 there. Canonical order lists the
   /// phases in ascending order, so the two half-runs concatenate into

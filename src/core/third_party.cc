@@ -34,8 +34,8 @@ std::string AlnumLabel(size_t column, const std::string& initiator,
          responder;
 }
 
-// Tile-qualified PRNG label — must mirror the data holders' derivation for
-// per-pair tile streams.
+// Range-qualified PRNG label — must mirror the data holders' derivation for
+// per-pair range streams.
 std::string TileSuffix(uint64_t row_begin) {
   return ":t" + std::to_string(row_begin);
 }
@@ -132,107 +132,6 @@ Result<std::unique_ptr<Prng>> ThirdParty::HolderPrng(
                          HmacSha256::DeriveKey(it->second, label));
 }
 
-Status ThirdParty::ReceiveLocalMatrix(const std::string& holder) {
-  PPC_ASSIGN_OR_RETURN(const RosterEntry* entry, FindRosterEntry(holder));
-  PPC_ASSIGN_OR_RETURN(Message msg, Recv(holder,
-                                                      topics::kLocalMatrix));
-  ByteReader reader(msg.payload);
-  PPC_ASSIGN_OR_RETURN(uint32_t column, reader.ReadU32());
-  PPC_ASSIGN_OR_RETURN(uint64_t n, reader.ReadU64());
-  PPC_ASSIGN_OR_RETURN(std::vector<double> cells, reader.ReadF64Vector());
-  PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-
-  if (column >= schema_.size()) {
-    return Status::ProtocolViolation("local matrix for unknown attribute " +
-                                     std::to_string(column));
-  }
-  if (schema_.attribute(column).type == AttributeType::kCategorical) {
-    return Status::ProtocolViolation(
-        "categorical attributes have no local matrices");
-  }
-  if (n != entry->count) {
-    return Status::ProtocolViolation(
-        "local matrix has " + std::to_string(n) + " objects, roster says " +
-        std::to_string(entry->count));
-  }
-  PPC_ASSIGN_OR_RETURN(DissimilarityMatrix local,
-                       DissimilarityMatrix::FromPacked(n, std::move(cells)));
-
-  DissimilarityMatrix& global = attribute_matrices_[column];
-  for (size_t i = 1; i < n; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      global.set(entry->offset + i, entry->offset + j, local.at(i, j));
-    }
-  }
-  InvalidateMergedCache();
-  return Status::OK();
-}
-
-Status ThirdParty::ReceiveNumericComparison(const std::string& responder) {
-  PPC_ASSIGN_OR_RETURN(
-      Message msg,
-      Recv(responder, topics::kNumericComparison));
-  return InstallNumericPayload(msg.payload, responder, Expected{});
-}
-
-Status ThirdParty::InstallNumericPayload(const std::string& payload,
-                                         const std::string& responder,
-                                         const Expected& expected) {
-  PPC_ASSIGN_OR_RETURN(const RosterEntry* responder_entry,
-                       FindRosterEntry(responder));
-  ByteReader reader(payload);
-  PPC_ASSIGN_OR_RETURN(uint32_t column, reader.ReadU32());
-  PPC_ASSIGN_OR_RETURN(std::string initiator, reader.ReadBytes());
-  if (expected.column != nullptr && column != *expected.column) {
-    return Status::ProtocolViolation(
-        "responder sent attribute " + std::to_string(column) +
-        ", the schedule expects " + std::to_string(*expected.column));
-  }
-  if (expected.initiator != nullptr && initiator != *expected.initiator) {
-    return Status::ProtocolViolation("responder echoed initiator '" +
-                                     initiator + "', the schedule expects '" +
-                                     *expected.initiator + "'");
-  }
-  PPC_ASSIGN_OR_RETURN(uint8_t mode_tag, reader.ReadU8());
-  PPC_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadU64());
-  PPC_ASSIGN_OR_RETURN(uint64_t cols, reader.ReadU64());
-  PPC_ASSIGN_OR_RETURN(std::vector<uint64_t> cells, reader.ReadU64Vector());
-  PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-
-  PPC_ASSIGN_OR_RETURN(const RosterEntry* initiator_entry,
-                       FindRosterEntry(initiator));
-  if (column >= schema_.size() ||
-      !IsNumericType(schema_.attribute(column).type)) {
-    return Status::ProtocolViolation("comparison matrix for non-numeric "
-                                     "attribute " + std::to_string(column));
-  }
-  if (rows != responder_entry->count || cols != initiator_entry->count) {
-    return Status::ProtocolViolation("comparison matrix shape mismatch");
-  }
-
-  const std::string label = NumericLabel(column, initiator, responder);
-  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
-                       HolderPrng(initiator, label));
-
-  std::vector<uint64_t> distances;
-  if (mode_tag == static_cast<uint8_t>(MaskingMode::kBatch)) {
-    PPC_ASSIGN_OR_RETURN(distances,
-                         NumericProtocol::RecoverDistances(
-                             cells, rows, cols, rng_jt.get(),
-                             config_.num_threads));
-  } else if (mode_tag == static_cast<uint8_t>(MaskingMode::kPerPair)) {
-    PPC_ASSIGN_OR_RETURN(distances, NumericProtocol::RecoverDistancesPerPair(
-                                        cells, rows, cols, rng_jt.get()));
-  } else {
-    return Status::ProtocolViolation("unknown masking mode tag");
-  }
-
-  FillNumericBlock(column, responder_entry->offset, initiator_entry->offset,
-                   distances, rows, cols);
-  InvalidateMergedCache();
-  return Status::OK();
-}
-
 void ThirdParty::FillNumericBlock(size_t column, size_t global_row_begin,
                                   size_t initiator_offset,
                                   const std::vector<uint64_t>& distances,
@@ -280,130 +179,6 @@ void ThirdParty::FillNumericBlock(size_t column, size_t global_row_begin,
         }
       },
       /*min_items=*/128);
-}
-
-Status ThirdParty::ReceiveAlphanumericGrids(const std::string& responder) {
-  PPC_ASSIGN_OR_RETURN(Message msg, Recv(responder,
-                                                      topics::kAlnumGrids));
-  return InstallAlphanumericPayload(msg.payload, responder, Expected{});
-}
-
-Status ThirdParty::InstallAlphanumericPayload(const std::string& payload,
-                                              const std::string& responder,
-                                              const Expected& expected) {
-  PPC_ASSIGN_OR_RETURN(const RosterEntry* responder_entry,
-                       FindRosterEntry(responder));
-  ByteReader reader(payload);
-  PPC_ASSIGN_OR_RETURN(uint32_t column, reader.ReadU32());
-  PPC_ASSIGN_OR_RETURN(std::string initiator, reader.ReadBytes());
-  if (expected.column != nullptr && column != *expected.column) {
-    return Status::ProtocolViolation(
-        "responder sent attribute " + std::to_string(column) +
-        ", the schedule expects " + std::to_string(*expected.column));
-  }
-  if (expected.initiator != nullptr && initiator != *expected.initiator) {
-    return Status::ProtocolViolation("responder echoed initiator '" +
-                                     initiator + "', the schedule expects '" +
-                                     *expected.initiator + "'");
-  }
-  PPC_ASSIGN_OR_RETURN(uint64_t responder_count, reader.ReadU64());
-  PPC_ASSIGN_OR_RETURN(uint64_t initiator_count, reader.ReadU64());
-
-  PPC_ASSIGN_OR_RETURN(const RosterEntry* initiator_entry,
-                       FindRosterEntry(initiator));
-  if (column >= schema_.size() ||
-      schema_.attribute(column).type != AttributeType::kAlphanumeric) {
-    return Status::ProtocolViolation("grids for non-alphanumeric attribute " +
-                                     std::to_string(column));
-  }
-  if (responder_count != responder_entry->count ||
-      initiator_count != initiator_entry->count) {
-    return Status::ProtocolViolation("grid block shape mismatch");
-  }
-
-  std::vector<AlphanumericProtocol::MaskedGrid> grids;
-  grids.reserve(responder_count * initiator_count);
-  for (uint64_t g = 0; g < responder_count * initiator_count; ++g) {
-    AlphanumericProtocol::MaskedGrid grid;
-    PPC_ASSIGN_OR_RETURN(uint32_t rlen, reader.ReadU32());
-    PPC_ASSIGN_OR_RETURN(uint32_t ilen, reader.ReadU32());
-    // View straight into the payload: the cells are copied exactly once,
-    // into the grid itself.
-    PPC_ASSIGN_OR_RETURN(std::string_view cells, reader.ReadBytesView());
-    if (cells.size() != size_t{rlen} * ilen) {
-      return Status::ProtocolViolation("grid cell count mismatch");
-    }
-    grid.responder_length = rlen;
-    grid.initiator_length = ilen;
-    grid.cells.assign(cells.begin(), cells.end());
-    grids.push_back(std::move(grid));
-  }
-  PPC_RETURN_IF_ERROR(reader.ExpectEnd());
-
-  const std::string label = AlnumLabel(column, initiator, responder);
-  PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
-                       HolderPrng(initiator, label));
-  PPC_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> distances,
-      AlphanumericProtocol::RecoverDistances(grids, responder_count,
-                                             initiator_count, config_.alphabet,
-                                             rng_jt.get(),
-                                             config_.num_threads));
-
-  DissimilarityMatrix& global = attribute_matrices_[column];
-  for (uint64_t m = 0; m < responder_count; ++m) {
-    for (uint64_t n = 0; n < initiator_count; ++n) {
-      global.set(responder_entry->offset + m, initiator_entry->offset + n,
-                 static_cast<double>(distances[m * initiator_count + n]));
-    }
-  }
-  InvalidateMergedCache();
-  return Status::OK();
-}
-
-Status ThirdParty::CollectComparison(size_t column,
-                                     const std::string& initiator,
-                                     const std::string& responder) {
-  if (column >= schema_.size()) {
-    return Status::InvalidArgument("attribute " + std::to_string(column) +
-                                   " out of range");
-  }
-  const AttributeType type = schema_.attribute(column).type;
-  if (type == AttributeType::kCategorical) {
-    return Status::InvalidArgument(
-        "categorical attributes have no comparison rounds");
-  }
-  const char* topic = IsNumericType(type) ? topics::kNumericComparison
-                                          : topics::kAlnumGrids;
-  PPC_ASSIGN_OR_RETURN(Message msg,
-                       Recv(responder, topic));
-  MutexLock lock(pending_mutex_);
-  pending_comparisons_[{column, initiator, responder, 0}] =
-      std::move(msg.payload);
-  return Status::OK();
-}
-
-Status ThirdParty::InstallComparison(size_t column,
-                                     const std::string& initiator,
-                                     const std::string& responder) {
-  std::string payload;
-  {
-    MutexLock lock(pending_mutex_);
-    auto it = pending_comparisons_.find({column, initiator, responder, 0});
-    if (it == pending_comparisons_.end()) {
-      return Status::FailedPrecondition(
-          "no collected comparison payload for attribute " +
-          std::to_string(column) + ", pair " + initiator + "/" + responder);
-    }
-    payload = std::move(it->second);
-    pending_comparisons_.erase(it);
-  }
-  Expected expected;
-  expected.column = &column;
-  expected.initiator = &initiator;
-  return IsNumericType(schema_.attribute(column).type)
-             ? InstallNumericPayload(payload, responder, expected)
-             : InstallAlphanumericPayload(payload, responder, expected);
 }
 
 Result<uint64_t> ThirdParty::RosterCount(const std::string& holder) const {
@@ -559,8 +334,8 @@ Status ThirdParty::InstallNumericTilePayload(const std::string& payload,
 
   std::vector<uint64_t> distances;
   if (mode_tag == static_cast<uint8_t>(MaskingMode::kBatch)) {
-    // Batch tiles share the column's mask stream: every row strips the same
-    // hoisted prefix, so a row slice recovers exactly like the whole matrix.
+    // Batch ranges share the column's mask stream: every row strips the
+    // same hoisted prefix, so a row slice recovers exactly like all rows.
     const std::string label = NumericLabel(column, initiator, responder);
     PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
                          HolderPrng(initiator, label));
@@ -569,7 +344,8 @@ Status ThirdParty::InstallNumericTilePayload(const std::string& payload,
                              cells, rows, cols, rng_jt.get(),
                              config_.num_threads));
   } else if (mode_tag == static_cast<uint8_t>(MaskingMode::kPerPair)) {
-    // Per-pair tiles each carry an independent, tile-labelled mask stream.
+    // Per-pair ranges each carry an independent, range-labelled mask
+    // stream.
     const std::string label =
         NumericLabel(column, initiator, responder) + TileSuffix(row_begin);
     PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
@@ -648,8 +424,8 @@ Status ThirdParty::InstallAlphanumericTilePayload(const std::string& payload,
   }
   PPC_RETURN_IF_ERROR(reader.ExpectEnd());
 
-  // The decode prefix is per-row (Fig. 10), so every tile shares the
-  // column's mask stream — same label as the whole-matrix round.
+  // The decode prefix is per-row (Fig. 10), so every range shares the
+  // column's mask stream.
   const std::string label = AlnumLabel(column, initiator, responder);
   PPC_ASSIGN_OR_RETURN(std::unique_ptr<Prng> rng_jt,
                        HolderPrng(initiator, label));

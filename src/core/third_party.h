@@ -64,65 +64,42 @@ class ThirdParty {
   Status ReceiveDhPublicAndDerive(const std::string& holder);
 
   // -- Matrix collection (Fig. 11) -------------------------------------------
+  // Every phase-4/5 message carries rows [row_begin, row_end) of one
+  // attribute's payload — all of the owner's rows (tile_size 0) or one
+  // row tile — so with tiling early tiles install while holders still
+  // compute later ones, and peak memory per in-flight payload is
+  // O(tile x row length). The final matrices do not depend on the ranges.
+  //
+  // A comparison round's collection is split in two: `CollectComparisonTile`
+  // performs only the network receive (cheap — it is what must stay in
+  // per-channel FIFO order) and stashes the raw payload;
+  // `InstallComparisonTile` does the mask stripping / edit-distance work
+  // and the block fill, which is order-free across (attribute, pair,
+  // range) — that is where the schedule's phase-5 parallelism comes from.
+  // The expected attribute, initiator and row range are known to the
+  // schedule, so the install rejects a payload whose self-description
+  // disagrees with the protocol position it arrived in.
 
-  /// Receives one local dissimilarity matrix message (Fig. 12 output) from
-  /// `holder` and installs it on the diagonal block of the attribute matrix.
-  Status ReceiveLocalMatrix(const std::string& holder);
-
-  /// Receives a numeric comparison matrix (Fig. 5 output) from `responder`,
-  /// strips masks (Fig. 6) and fills the corresponding off-diagonal block.
-  Status ReceiveNumericComparison(const std::string& responder);
-
-  /// Receives alphanumeric masked grids (Fig. 9 output), decodes CCMs, runs
-  /// edit distance (Fig. 10), fills the off-diagonal block.
-  Status ReceiveAlphanumericGrids(const std::string& responder);
-
-  // Split halves of the two receive-and-install steps above, used by the
-  // schedule executors (core/schedule.h): `CollectComparison` performs only
-  // the network receive (cheap — it is what must stay in per-channel FIFO
-  // order) and stashes the raw payload; `InstallComparison` does the mask
-  // stripping / edit-distance work and the block fill, which is order-free
-  // across (attribute, pair) — that is where the fine schedule's
-  // parallelism comes from. The expected attribute and initiator are known
-  // to the schedule, so the install additionally rejects a payload whose
-  // self-description disagrees with the protocol position it arrived in.
-
-  /// Receives the next comparison result of `responder` — the schedule
-  /// says it is attribute `column` with `initiator` — and stashes it.
-  Status CollectComparison(size_t column, const std::string& initiator,
-                           const std::string& responder);
-
-  /// Unmasks and installs the stashed comparison result for (`column`,
-  /// `initiator`, `responder`).
-  Status InstallComparison(size_t column, const std::string& initiator,
-                           const std::string& responder);
-
-  // -- Tiled collection (tile_size > 0 schedules) ----------------------------
-  // Row-range variants: each message carries triangle or block rows
-  // [row_begin, row_end) of one attribute's payload, so early tiles install
-  // while holders still compute later ones and peak memory per in-flight
-  // payload is O(tile x row length). Final matrices are bit-identical to
-  // the whole-matrix steps at any tiling.
-
-  /// Receives one local-matrix tile from `holder` and installs its rows on
+  /// Receives one local-matrix range from `holder` and installs its rows on
   /// the diagonal block of the attribute matrix.
   Status ReceiveLocalMatrixTile(const std::string& holder);
 
-  /// Receives the next comparison tile of `responder` — the schedule says
+  /// Receives the next comparison range of `responder` — the schedule says
   /// attribute `column`, `initiator`, rows from `row_begin` — and stashes
-  /// it under that tile key.
+  /// it under that range key.
   Status CollectComparisonTile(size_t column, const std::string& initiator,
                                const std::string& responder,
                                uint64_t row_begin);
 
-  /// Unmasks and installs the stashed comparison tile for (`column`,
+  /// Unmasks and installs the stashed comparison range for (`column`,
   /// `initiator`, `responder`, rows [row_begin, row_end)).
   Status InstallComparisonTile(size_t column, const std::string& initiator,
                                const std::string& responder,
                                uint64_t row_begin, uint64_t row_end);
 
   /// Object count of `holder` from the roster (available after
-  /// ReceiveHellos; schedule drivers consult it to build tiled graphs).
+  /// ReceiveHellos; schedule drivers consult it to build tiled graphs and
+  /// to close open row ranges).
   Result<uint64_t> RosterCount(const std::string& holder) const;
 
   /// The protocol configuration this party runs with.
@@ -173,18 +150,6 @@ class ThirdParty {
   Result<std::unique_ptr<Prng>> HolderPrng(const std::string& holder,
                                            const std::string& label) const;
 
-  /// Constraints the schedule imposes on a comparison payload's
-  /// self-description; the plain Receive* entry points pass none.
-  struct Expected {
-    const size_t* column = nullptr;
-    const std::string* initiator = nullptr;
-  };
-  Status InstallNumericPayload(const std::string& payload,
-                               const std::string& responder,
-                               const Expected& expected);
-  Status InstallAlphanumericPayload(const std::string& payload,
-                                    const std::string& responder,
-                                    const Expected& expected);
   Status InstallNumericTilePayload(const std::string& payload,
                                    const std::string& responder, size_t column,
                                    const std::string& initiator,
@@ -246,10 +211,10 @@ class ThirdParty {
   mutable std::map<std::vector<double>, DissimilarityMatrix> merged_cache_
       GUARDED_BY(merged_cache_mutex_);
 
-  // Comparison payloads staged between CollectComparison and
-  // InstallComparison, keyed by (column, initiator, responder, row_begin) —
-  // whole-matrix rounds use row_begin 0. Collects on different channels run
-  // concurrently, hence the mutex.
+  // Comparison payloads staged between CollectComparisonTile and
+  // InstallComparisonTile, keyed by (column, initiator, responder,
+  // row_begin). Collects on different channels run concurrently, hence the
+  // mutex.
   mutable Mutex pending_mutex_;
   std::map<std::tuple<size_t, std::string, std::string, uint64_t>, std::string>
       pending_comparisons_ GUARDED_BY(pending_mutex_);

@@ -11,6 +11,7 @@
 #include "analysis/frequency_attack.h"
 #include "analysis/stats.h"
 #include "core/numeric_protocol.h"
+#include "core/schedule.h"
 #include "core/topics.h"
 #include "data/generators.h"
 #include "data/partition.h"
@@ -69,18 +70,33 @@ TopicBytes MeasureSession(const LabeledDataset& data,
   return bytes;
 }
 
-// The next three tests assert the *whole-matrix* closed forms per topic;
-// a global PPC_TILE_SIZE override (the CI tiled leg) changes the graph
-// and the per-tile headers with it. The tiled formulas are reconciled to
-// the byte in analysis_comm_audit_test.cc, so skip rather than re-derive.
-#define PPC_SKIP_IF_TILED()                                              \
-  if (testutil::TileSizeFromEnv() > 0) {                                 \
-    GTEST_SKIP() << "whole-matrix closed forms; PPC_TILE_SIZE overrides" \
-                    " the schedule graph";                               \
+/// The `kind` steps of the schedule graph `MeasureSession` ran. The
+/// PPC_TILE_SIZE override (the CI tiled leg) is resolved exactly as
+/// MakeSession resolves it, so the closed forms below are summed over the
+/// row ranges the session actually sent.
+std::vector<ScheduleStep> SessionSteps(const LabeledDataset& data,
+                                       const std::vector<LabeledDataset>& parts,
+                                       const ProtocolConfig& config,
+                                       StepKind kind) {
+  Schedule::Options options;
+  options.tile_size =
+      config.tile_size > 0 ? config.tile_size : testutil::TileSizeFromEnv();
+  options.masking = config.masking_mode;
+  for (const LabeledDataset& part : parts) {
+    options.holder_objects.push_back(part.data.NumRows());
   }
+  SessionPlan plan;
+  plan.holder_order = {"A", "B"};
+  Schedule schedule =
+      Schedule::Build(plan, data.data.schema(), options).TakeValue();
+  std::vector<ScheduleStep> steps;
+  for (const ScheduleStep& step : schedule.steps()) {
+    if (step.kind == kind) steps.push_back(step);
+  }
+  return steps;
+}
 
 TEST(CommModelTest, NumericBatchTrafficMatchesModelExactly) {
-  PPC_SKIP_IF_TILED();
   Schema schema = Schema::Create({{"v", AttributeType::kInteger}}).TakeValue();
   LabeledDataset data{DataMatrix(schema), {}};
   for (int i = 0; i < 20; ++i) {
@@ -94,16 +110,25 @@ TEST(CommModelTest, NumericBatchTrafficMatchesModelExactly) {
 
   uint64_t n = parts[0].data.NumRows();  // Initiator A.
   uint64_t m = parts[1].data.NumRows();  // Responder B.
-  EXPECT_EQ(measured.masked,
-            CommModel::NumericInitiatorPayload(n, m, MaskingMode::kBatch));
-  EXPECT_EQ(measured.comparison,
-            CommModel::NumericResponderPayload(m, n, /*name_len=*/1));
-  EXPECT_EQ(measured.local,
-            CommModel::LocalMatrixPayload(n) + CommModel::LocalMatrixPayload(m));
+  uint64_t local = 0;
+  for (const ScheduleStep& step :
+       SessionSteps(data, parts, config, StepKind::kLocalMatrixSend)) {
+    local += CommModel::LocalMatrixTilePayload(
+        step.row_begin, step.RowEnd(step.actor == "A" ? n : m));
+  }
+  uint64_t comparison = 0;
+  for (const ScheduleStep& step :
+       SessionSteps(data, parts, config, StepKind::kComparisonSend)) {
+    comparison += CommModel::NumericResponderTilePayload(
+        n, step.row_begin, step.RowEnd(m), /*initiator_name_length=*/1);
+  }
+  // One masked vector, shared by every range of B's rows.
+  EXPECT_EQ(measured.masked, CommModel::NumericInitiatorPayload(n));
+  EXPECT_EQ(measured.comparison, comparison);
+  EXPECT_EQ(measured.local, local);
 }
 
 TEST(CommModelTest, NumericPerPairTrafficGrowsToNTimesM) {
-  PPC_SKIP_IF_TILED();
   Schema schema = Schema::Create({{"v", AttributeType::kInteger}}).TakeValue();
   LabeledDataset data{DataMatrix(schema), {}};
   for (int i = 0; i < 16; ++i) {
@@ -116,15 +141,21 @@ TEST(CommModelTest, NumericPerPairTrafficGrowsToNTimesM) {
   TopicBytes measured = MeasureSession(data, config, &parts);
   uint64_t n = parts[0].data.NumRows();
   uint64_t m = parts[1].data.NumRows();
-  EXPECT_EQ(measured.masked,
-            CommModel::NumericInitiatorPayload(n, m, MaskingMode::kPerPair));
+  uint64_t masked = 0;
+  uint64_t masked_words = 0;
+  for (const ScheduleStep& step :
+       SessionSteps(data, parts, config, StepKind::kComparisonInit)) {
+    masked += CommModel::NumericInitiatorTilePayload(n, step.row_begin,
+                                                     step.RowEnd(m));
+    masked_words += (step.RowEnd(m) - step.row_begin) * n;
+  }
+  EXPECT_EQ(measured.masked, masked);
+  EXPECT_EQ(masked_words, n * m);
   // Initiator traffic strictly larger than batch whenever m > 1.
-  EXPECT_GT(measured.masked,
-            CommModel::NumericInitiatorPayload(n, m, MaskingMode::kBatch));
+  EXPECT_GT(measured.masked, CommModel::NumericInitiatorPayload(n));
 }
 
 TEST(CommModelTest, AlphanumericTrafficMatchesModelExactly) {
-  PPC_SKIP_IF_TILED();
   Schema schema =
       Schema::Create({{"s", AttributeType::kAlphanumeric}}).TakeValue();
   LabeledDataset data{DataMatrix(schema), {}};
@@ -148,12 +179,17 @@ TEST(CommModelTest, AlphanumericTrafficMatchesModelExactly) {
   for (size_t i = 0; i < parts[1].data.NumRows(); ++i) {
     responder_lengths.push_back(parts[1].data.at(i, 0).AsString().size());
   }
+  uint64_t grids = 0;
+  for (const ScheduleStep& step :
+       SessionSteps(data, parts, config, StepKind::kComparisonSend)) {
+    grids += CommModel::AlnumResponderTilePayload(
+        responder_lengths, step.row_begin,
+        step.RowEnd(responder_lengths.size()), initiator_lengths,
+        /*initiator_name_length=*/1);
+  }
   EXPECT_EQ(measured.alnum_masked,
             CommModel::AlnumInitiatorPayload(initiator_lengths));
-  EXPECT_EQ(measured.alnum_grids,
-            CommModel::AlnumResponderPayload(responder_lengths,
-                                             initiator_lengths,
-                                             /*name_len=*/1));
+  EXPECT_EQ(measured.alnum_grids, grids);
 }
 
 TEST(CommModelTest, CategoricalTrafficMatchesModelExactly) {

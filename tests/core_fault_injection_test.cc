@@ -75,26 +75,35 @@ class FaultInjectionTest : public ::testing::Test {
   std::unique_ptr<DataHolder> a_, b_;
 };
 
+// Every phase-4/5 payload below is a row-range message: local matrices
+// carry [row_begin, row_end) of the holder's triangle, comparison results
+// [row_begin, row_end) of the responder's rows. A round over all rows is
+// the one-range case.
+
 TEST_F(FaultInjectionTest, TruncatedLocalMatrixIsDataLoss) {
   ByteWriter writer;
   writer.WriteU32(0);  // Attribute.
   writer.WriteU64(3);  // Claims 3 objects...
+  writer.WriteU64(0);  // ...rows [0, 3)...
+  writer.WriteU64(3);
   writer.WriteU32(99);  // ...then garbage instead of an F64 vector.
   ASSERT_TRUE(network_->Send("A", "TP", topics::kLocalMatrix,
                              writer.TakeBytes())
                   .ok());
-  EXPECT_EQ(tp_->ReceiveLocalMatrix("A").code(), StatusCode::kDataLoss);
+  EXPECT_EQ(tp_->ReceiveLocalMatrixTile("A").code(), StatusCode::kDataLoss);
 }
 
 TEST_F(FaultInjectionTest, LocalMatrixWrongObjectCountIsProtocolViolation) {
   ByteWriter writer;
   writer.WriteU32(0);
   writer.WriteU64(5);  // Roster says A has 3 objects.
+  writer.WriteU64(0);
+  writer.WriteU64(5);
   writer.WriteF64Vector(std::vector<double>(10, 0.0));
   ASSERT_TRUE(network_->Send("A", "TP", topics::kLocalMatrix,
                              writer.TakeBytes())
                   .ok());
-  EXPECT_EQ(tp_->ReceiveLocalMatrix("A").code(),
+  EXPECT_EQ(tp_->ReceiveLocalMatrixTile("A").code(),
             StatusCode::kProtocolViolation);
 }
 
@@ -102,55 +111,70 @@ TEST_F(FaultInjectionTest, LocalMatrixForUnknownAttributeRejected) {
   ByteWriter writer;
   writer.WriteU32(7);  // Schema has one attribute.
   writer.WriteU64(3);
+  writer.WriteU64(0);
+  writer.WriteU64(3);
   writer.WriteF64Vector(std::vector<double>(3, 0.0));
   ASSERT_TRUE(network_->Send("A", "TP", topics::kLocalMatrix,
                              writer.TakeBytes())
                   .ok());
-  EXPECT_EQ(tp_->ReceiveLocalMatrix("A").code(),
+  EXPECT_EQ(tp_->ReceiveLocalMatrixTile("A").code(),
             StatusCode::kProtocolViolation);
 }
 
-TEST_F(FaultInjectionTest, ComparisonMatrixShapeMismatchRejected) {
+/// A numeric comparison payload from B for attribute 0: rows
+/// [row_begin, row_end) of B against `cols` initiator objects.
+std::string ComparisonPayload(const std::string& initiator, uint8_t mode_tag,
+                              uint64_t row_begin, uint64_t row_end,
+                              uint64_t cols) {
   ByteWriter writer;
   writer.WriteU32(0);
-  writer.WriteBytes("A");
-  writer.WriteU8(static_cast<uint8_t>(MaskingMode::kBatch));
-  writer.WriteU64(9);  // B has 2 objects, not 9.
-  writer.WriteU64(3);
-  writer.WriteU64Vector(std::vector<uint64_t>(27, 0));
+  writer.WriteBytes(initiator);
+  writer.WriteU8(mode_tag);
+  writer.WriteU64(row_begin);
+  writer.WriteU64(row_end);
+  writer.WriteU64(cols);
+  writer.WriteU64Vector(std::vector<uint64_t>((row_end - row_begin) * cols, 0));
+  return writer.TakeBytes();
+}
+
+constexpr uint8_t kBatchTag = static_cast<uint8_t>(MaskingMode::kBatch);
+
+TEST_F(FaultInjectionTest, ComparisonMatrixShapeMismatchRejected) {
+  // B's two rows against 9 initiator columns; A has 3 objects.
   ASSERT_TRUE(network_->Send("B", "TP", topics::kNumericComparison,
-                             writer.TakeBytes())
+                             ComparisonPayload("A", kBatchTag, 0, 2, 9))
                   .ok());
-  EXPECT_EQ(tp_->ReceiveNumericComparison("B").code(),
+  ASSERT_TRUE(tp_->CollectComparisonTile(0, "A", "B", 0).ok());
+  EXPECT_EQ(tp_->InstallComparisonTile(0, "A", "B", 0, 2).code(),
             StatusCode::kProtocolViolation);
 }
 
 TEST_F(FaultInjectionTest, ComparisonMatrixFromUnknownInitiatorRejected) {
-  ByteWriter writer;
-  writer.WriteU32(0);
-  writer.WriteBytes("Mallory");
-  writer.WriteU8(static_cast<uint8_t>(MaskingMode::kBatch));
-  writer.WriteU64(2);
-  writer.WriteU64(3);
-  writer.WriteU64Vector(std::vector<uint64_t>(6, 0));
   ASSERT_TRUE(network_->Send("B", "TP", topics::kNumericComparison,
-                             writer.TakeBytes())
+                             ComparisonPayload("Mallory", kBatchTag, 0, 2, 3))
                   .ok());
-  EXPECT_EQ(tp_->ReceiveNumericComparison("B").code(), StatusCode::kNotFound);
+  ASSERT_TRUE(tp_->CollectComparisonTile(0, "Mallory", "B", 0).ok());
+  EXPECT_EQ(tp_->InstallComparisonTile(0, "Mallory", "B", 0, 2).code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(FaultInjectionTest, UnknownMaskingModeTagRejected) {
-  ByteWriter writer;
-  writer.WriteU32(0);
-  writer.WriteBytes("A");
-  writer.WriteU8(42);  // Not a MaskingMode.
-  writer.WriteU64(2);
-  writer.WriteU64(3);
-  writer.WriteU64Vector(std::vector<uint64_t>(6, 0));
   ASSERT_TRUE(network_->Send("B", "TP", topics::kNumericComparison,
-                             writer.TakeBytes())
+                             ComparisonPayload("A", /*mode_tag=*/42, 0, 2, 3))
                   .ok());
-  EXPECT_EQ(tp_->ReceiveNumericComparison("B").code(),
+  ASSERT_TRUE(tp_->CollectComparisonTile(0, "A", "B", 0).ok());
+  EXPECT_EQ(tp_->InstallComparisonTile(0, "A", "B", 0, 2).code(),
+            StatusCode::kProtocolViolation);
+}
+
+TEST_F(FaultInjectionTest, ComparisonRowRangeTheScheduleDidNotExpectRejected) {
+  // A well-formed payload for B's rows [1, 2), arriving where the schedule
+  // expects the one range [0, 2).
+  ASSERT_TRUE(network_->Send("B", "TP", topics::kNumericComparison,
+                             ComparisonPayload("A", kBatchTag, 1, 2, 3))
+                  .ok());
+  ASSERT_TRUE(tp_->CollectComparisonTile(0, "A", "B", 0).ok());
+  EXPECT_EQ(tp_->InstallComparisonTile(0, "A", "B", 0, 2).code(),
             StatusCode::kProtocolViolation);
 }
 
@@ -160,19 +184,20 @@ TEST_F(FaultInjectionTest, ResponderRejectsWrongAttributeFromInitiator) {
   // Corrupt expectation: B processes the message as if it were attribute 1
   // (the schema only has attribute 0; the mismatch must be caught before
   // any arithmetic).
-  EXPECT_EQ(b_->RunNumericResponder(1, "A", "TP").code(),
+  ASSERT_TRUE(b_->ReceiveNumericMaskedShared(1, "A", /*uses=*/1).ok());
+  EXPECT_EQ(b_->BuildNumericComparisonTile(1, "A", 0, 2).code(),
             StatusCode::kProtocolViolation);
 }
 
 TEST_F(FaultInjectionTest, OutOfOrderStepIsTopicViolation) {
-  // TP asks for a comparison matrix while only a hello-like payload is
+  // TP asks for a comparison result while only a local-matrix payload is
   // queued under a different topic.
   ByteWriter writer;
   writer.WriteU64(123);
   ASSERT_TRUE(
       network_->Send("B", "TP", topics::kLocalMatrix, writer.TakeBytes())
           .ok());
-  EXPECT_EQ(tp_->ReceiveNumericComparison("B").code(),
+  EXPECT_EQ(tp_->CollectComparisonTile(0, "A", "B", 0).code(),
             StatusCode::kProtocolViolation);
 }
 

@@ -9,32 +9,19 @@
 #include <set>
 
 #include "cluster/quality.h"
-#include "common/fixed_point.h"
 #include "core/outcome.h"
 #include "core/topics.h"
 #include "data/generators.h"
 #include "data/partition.h"
-#include "distance/comparators.h"
 #include "session_test_util.h"
 
 namespace ppc {
 namespace {
 
+using testutil::CentralizedReference;
 using testutil::MakeSession;
 using testutil::MatricesOf;
 using testutil::SessionFixture;
-
-/// Builds the centralized reference: per-attribute matrices over the
-/// concatenation of all partitions, normalized like the third party does.
-std::vector<DissimilarityMatrix> CentralizedReference(
-    const std::vector<LabeledDataset>& parts, const ProtocolConfig& config) {
-  LabeledDataset merged = Partitioner::Concatenate(parts).TakeValue();
-  FixedPointCodec codec =
-      FixedPointCodec::Create(config.real_decimal_digits).TakeValue();
-  auto matrices = LocalDissimilarity::BuildAll(merged.data, codec).TakeValue();
-  for (auto& matrix : matrices) matrix.Normalize();
-  return matrices;
-}
 
 LabeledDataset MixedDataset(size_t n, uint64_t seed) {
   auto prng = MakePrng(PrngKind::kXoshiro256, seed);

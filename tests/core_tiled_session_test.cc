@@ -1,11 +1,13 @@
-// Tiled quadratic phases (ProtocolConfig::tile_size > 0) must be invisible
-// in the results: at every tile size — including tile boundaries that do
-// not divide the partition sizes, single-row tiles, and tiles larger than
-// any partition — the third party's per-attribute matrices and the
-// published clustering outcome are bit-identical to the whole-matrix run,
-// across schema types, both masking modes, all three executors and both
-// transports. Only the wire framing (per-tile headers, fresh per-tile mask
-// streams in per-pair mode) may differ.
+// Row-range tiling of the quadratic phases (ProtocolConfig::tile_size) must
+// be invisible in the results. At every tile size — 0 (one range over
+// each holder's rows), tile boundaries that do not divide the partition
+// sizes, single-row tiles, tiles larger than any partition, and empty
+// partitions — the third party's per-attribute matrices match the
+// centralized pooled-data reference, and a tiled run's matrices and
+// published clustering outcome are bit-identical to the tile_size 0
+// (whole-matrix) run, across schema types, both masking modes, all three
+// executors and both transports. Only the wire framing (per-tile headers,
+// fresh per-tile mask streams in per-pair mode) may differ.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 namespace ppc {
 namespace {
 
+using testutil::CentralizedReference;
 using testutil::MakeSession;
 using testutil::MatricesOf;
 using testutil::SessionFixture;
@@ -59,6 +62,20 @@ SessionFixture RunSession(const LabeledDataset& data,
   return fixture;
 }
 
+/// The third party's matrices against the pooled-data reference.
+void ExpectMatchesCentralized(const ThirdParty& tp,
+                              const std::vector<LabeledDataset>& parts,
+                              const Schema& schema, const std::string& what) {
+  auto reference = CentralizedReference(parts, tp.config());
+  for (size_t c = 0; c < schema.size(); ++c) {
+    const DissimilarityMatrix* got =
+        tp.AttributeMatrixForTesting(c).TakeValue();
+    EXPECT_LT(got->MaxAbsDifference(reference[c]).TakeValue(), 1e-12)
+        << what << ": attribute " << c << " (" << schema.attribute(c).name
+        << ")";
+  }
+}
+
 /// Bit-identical per-attribute matrices — the tiling acceptance bar.
 void ExpectBitIdentical(const ThirdParty& tiled, const ThirdParty& whole,
                         const Schema& schema, const std::string& what) {
@@ -78,49 +95,70 @@ void ExpectBitIdentical(const ThirdParty& tiled, const ThirdParty& whole,
 struct TiledCase {
   size_t tile_size;
   MaskingMode masking;
+  /// Insert an empty second partition: holder B holds 0 objects, so it is
+  /// a 0-row responder (A -> B) and a 0-column initiator (B -> C).
+  bool empty_responder = false;
 };
 
 class TiledEqualityTest : public ::testing::TestWithParam<TiledCase> {};
 
 // n = 19 over 3 holders -> partitions of 7/6/6 rows: tile sizes 1, 4, 7
 // exercise n % T != 0 and T == max partition; 64 exceeds every partition
-// (one tile per round, still through the tiled steps).
+// (one tile per round, like tile size 0). The empty-responder cases split
+// n over A and C only.
 TEST_P(TiledEqualityTest, MatricesAndOutcomeMatchWholeMatrixRun) {
   const TiledCase& tc = GetParam();
   LabeledDataset data = MixedDataset(19, 11);
-  auto parts = Partitioner::RoundRobin(data, 3).TakeValue();
+  std::vector<LabeledDataset> parts;
+  if (tc.empty_responder) {
+    parts = Partitioner::RoundRobin(data, 2).TakeValue();
+    parts.insert(parts.begin() + 1,
+                 LabeledDataset{DataMatrix(data.data.schema()), {}});
+  } else {
+    parts = Partitioner::RoundRobin(data, 3).TakeValue();
+  }
+  const std::string what = "tile=" + std::to_string(tc.tile_size);
 
   ProtocolConfig config;
   config.masking_mode = tc.masking;
-  SessionFixture whole = RunSession(data, parts, config);
-  auto whole_outcome =
-      whole.session->RequestClustering("A", HierRequest()).TakeValue();
-
   config.tile_size = tc.tile_size;
   SessionFixture tiled = RunSession(data, parts, config);
+  ExpectMatchesCentralized(*tiled.third_party, parts, data.data.schema(),
+                           what);
+  if (tc.tile_size == 0) return;
+
+  config.tile_size = 0;
+  SessionFixture whole = RunSession(data, parts, config);
+  ExpectBitIdentical(*tiled.third_party, *whole.third_party,
+                     data.data.schema(), what);
   auto tiled_outcome =
       tiled.session->RequestClustering("A", HierRequest()).TakeValue();
-
-  ExpectBitIdentical(*tiled.third_party, *whole.third_party,
-                     data.data.schema(),
-                     "tile=" + std::to_string(tc.tile_size));
+  auto whole_outcome =
+      whole.session->RequestClustering("A", HierRequest()).TakeValue();
   EXPECT_EQ(tiled_outcome.ToString(), whole_outcome.ToString());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     TileSizesAndMaskings, TiledEqualityTest,
-    ::testing::Values(TiledCase{1, MaskingMode::kBatch},
+    ::testing::Values(TiledCase{0, MaskingMode::kBatch},
+                      TiledCase{0, MaskingMode::kPerPair},
+                      TiledCase{1, MaskingMode::kBatch},
                       TiledCase{1, MaskingMode::kPerPair},
                       TiledCase{4, MaskingMode::kBatch},
                       TiledCase{4, MaskingMode::kPerPair},
                       TiledCase{7, MaskingMode::kBatch},
                       TiledCase{7, MaskingMode::kPerPair},
                       TiledCase{64, MaskingMode::kBatch},
-                      TiledCase{64, MaskingMode::kPerPair}),
+                      TiledCase{64, MaskingMode::kPerPair},
+                      TiledCase{0, MaskingMode::kBatch, true},
+                      TiledCase{0, MaskingMode::kPerPair, true},
+                      TiledCase{2, MaskingMode::kBatch, true},
+                      TiledCase{2, MaskingMode::kPerPair, true}),
     [](const ::testing::TestParamInfo<TiledCase>& info) {
       return "Tile" + std::to_string(info.param.tile_size) +
              (info.param.masking == MaskingMode::kPerPair ? "PerPair"
-                                                          : "Batch");
+                                                          : "Batch") +
+             (info.param.empty_responder ? "EmptyResponder" : "");
     });
 
 // ------------------------------------------------------ edge partitions --
@@ -135,16 +173,18 @@ TEST(TiledSessionTest, SingleRowHolderAtEveryRole) {
   ASSERT_EQ(split[0].data.NumRows(), 1u);
 
   for (MaskingMode masking : {MaskingMode::kBatch, MaskingMode::kPerPair}) {
+    const std::string what = std::string("single-row holder, masking=") +
+                             MaskingModeToString(masking);
     ProtocolConfig config;
     config.masking_mode = masking;
     SessionFixture whole = RunSession(data, split, config);
+    ExpectMatchesCentralized(*whole.third_party, split, data.data.schema(),
+                             what);
 
     config.tile_size = 3;
     SessionFixture tiled = RunSession(data, split, config);
     ExpectBitIdentical(*tiled.third_party, *whole.third_party,
-                       data.data.schema(),
-                       std::string("single-row holder, masking=") +
-                           MaskingModeToString(masking));
+                       data.data.schema(), what);
   }
 }
 
@@ -153,7 +193,7 @@ TEST(TiledSessionTest, SingleRowHolderAtEveryRole) {
 // One tiled graph, three executors: the sequential reference, the
 // thread-pool engine, and per-party projections driven as separate threads
 // over the in-memory backend. All three must agree bit for bit with the
-// whole-matrix run.
+// tile_size 0 run.
 TEST(TiledSessionTest, AllThreeExecutorsAgree) {
   LabeledDataset data = MixedDataset(17, 13);
   auto parts = Partitioner::RoundRobin(data, 2).TakeValue();
@@ -173,8 +213,8 @@ TEST(TiledSessionTest, AllThreeExecutorsAgree) {
                      data.data.schema(), "concurrent");
 
   // Distributed: every party its own PartyRunner thread. The runner builds
-  // the tiled graph itself (two-stage: untiled setup, then roster-sized
-  // tiles), so this also covers the roster-count path.
+  // the tiled graph itself (two-stage: tile_size 0 setup, then
+  // roster-sized tiles), so this also covers the roster-count path.
   config.num_threads = 1;
   InMemoryNetwork net;
   net.set_receive_timeout(kNetTimeout);
@@ -212,7 +252,7 @@ TEST(TiledSessionTest, AllThreeExecutorsAgree) {
 // ----------------------------------------------------------- transports --
 
 // Tiled frames over real loopback sockets: a multi-endpoint PartyRunner
-// run on the TCP backend reproduces the in-memory whole-matrix matrices
+// run on the TCP backend reproduces the in-memory tile_size 0 matrices
 // bit for bit (per-pair masking, so the tile-fresh mask streams cross the
 // wire too).
 TEST(TiledSessionTest, TcpPartyRunnerMatchesWholeMatrix) {
@@ -302,9 +342,9 @@ TEST(TiledSessionTest, TileSizeEnvOverrideAppliesWhenDefault) {
       MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
   EXPECT_EQ(off.third_party->config().tile_size, 5u);
 
-  // The env-tiled run still matches the untiled matrices bit for bit.
-  ProtocolConfig untiled;
-  SessionFixture whole = RunSession(data, parts, untiled);
+  // The env-tiled run still matches the tile_size 0 matrices bit for bit.
+  ProtocolConfig one_range;
+  SessionFixture whole = RunSession(data, parts, one_range);
   ExpectBitIdentical(*defaulted.third_party, *whole.third_party,
                      data.data.schema(), "env-tiled");
 }

@@ -10,12 +10,14 @@
 #include <string>
 #include <vector>
 
+#include "common/fixed_point.h"
 #include "common/string_util.h"
 #include "core/config.h"
 #include "core/data_holder.h"
 #include "core/session.h"
 #include "core/third_party.h"
 #include "data/partition.h"
+#include "distance/comparators.h"
 #include "net/faulty_network.h"
 #include "net/in_memory_network.h"
 
@@ -73,9 +75,9 @@ inline ScheduleGranularity ScheduleFromEnv(ScheduleGranularity fallback) {
 
 /// Tile-size override, same idea: PPC_TILE_SIZE=N (the CI tiled leg
 /// exports it) makes every fixture whose test did not pick an explicit
-/// tile size run the tiled phase-4/5 schedule with N-row tiles. Tiled
-/// runs are bit-identical to whole-matrix ones, so the suite's
-/// assertions hold unchanged.
+/// tile size run its phase-4/5 rounds as N-row tiles instead of one range
+/// per holder. Results are bit-identical at every tile size, so the
+/// suite's assertions hold unchanged.
 inline size_t TileSizeFromEnv() {
   const char* env = std::getenv("PPC_TILE_SIZE");
   if (env == nullptr) return 0;
@@ -156,6 +158,19 @@ inline Result<SessionFixture> MakeSession(
     fixture.holders.push_back(std::move(holder));
   }
   return fixture;
+}
+
+/// The centralized reference: per-attribute matrices over the
+/// concatenation of all partitions (pooled data, no protocol), normalized
+/// like the third party does.
+inline std::vector<DissimilarityMatrix> CentralizedReference(
+    const std::vector<LabeledDataset>& parts, const ProtocolConfig& config) {
+  LabeledDataset merged = Partitioner::Concatenate(parts).TakeValue();
+  FixedPointCodec codec =
+      FixedPointCodec::Create(config.real_decimal_digits).TakeValue();
+  auto matrices = LocalDissimilarity::BuildAll(merged.data, codec).TakeValue();
+  for (auto& matrix : matrices) matrix.Normalize();
+  return matrices;
 }
 
 /// Extracts the data matrices from labeled partitions.

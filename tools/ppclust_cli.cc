@@ -363,12 +363,12 @@ int ParseProtocolConfig(const Flags& flags, ProtocolConfig* config) {
     return Fail("--threads must be non-negative (0 = hardware concurrency)");
   }
   config->num_threads = static_cast<size_t>(threads_flag);
-  // Row-tile height for the quadratic phases: 0 (the default) ships
-  // whole-matrix messages; N > 0 streams phase-4/5 payloads as N-row
+  // Row-tile height for the quadratic phases: 0 (the default) sends one
+  // row range per holder round; N > 0 streams phase-4/5 payloads as N-row
   // tiles. Results are bit-identical either way (core/config.h).
   const int64_t tile_flag = flags.GetInt("tile-size", 0);
   if (tile_flag < 0) {
-    return Fail("--tile-size must be non-negative (0 = whole matrices)");
+    return Fail("--tile-size must be non-negative (0 = one tile per holder)");
   }
   config->tile_size = static_cast<size_t>(tile_flag);
   return 0;
