@@ -79,6 +79,23 @@ DataHolder::DataHolder(std::string name, Network* network,
 }
 
 Status DataHolder::SetData(DataMatrix data) {
+  // Integers get the bound `FixedPointCodec` gives encoded reals: the
+  // comparison ring reads x - y as signed 64-bit, which wraps once
+  // |x - y| reaches 2^63, and past 2^53 a double cannot hold the distance
+  // exactly anyway.
+  constexpr int64_t kMaxMagnitude = int64_t{1} << 52;
+  for (size_t c = 0; c < data.NumColumns(); ++c) {
+    if (data.schema().attribute(c).type != AttributeType::kInteger) continue;
+    for (size_t r = 0; r < data.NumRows(); ++r) {
+      const int64_t v = data.at(r, c).AsInteger();
+      if (v > kMaxMagnitude || v < -kMaxMagnitude) {
+        return Status::OutOfRange(
+            "integer attribute '" + data.schema().attribute(c).name +
+            "' row " + std::to_string(r) + " value " + std::to_string(v) +
+            " exceeds the numeric range |v| <= 2^52");
+      }
+    }
+  }
   data_ = std::move(data);
   return Status::OK();
 }
@@ -205,7 +222,7 @@ Result<std::unique_ptr<Prng>> DataHolder::PairPrng(
                                       "' (run key agreement first)");
   }
   std::string key = HmacSha256::DeriveKey(it->second, label);
-  return MakePrngFromKey(config_.prng_kind, key);
+  return MakePrngFromKey(PrngKind::kChaCha20, key);
 }
 
 Result<std::string> DataHolder::TakePending(const std::string& slot) {

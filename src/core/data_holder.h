@@ -38,7 +38,9 @@ class DataHolder {
              uint64_t entropy_seed);
 
   /// Installs this holder's horizontal partition. All rows must match the
-  /// session schema (validated again by the session).
+  /// session schema (validated again by the session). An integer value
+  /// with |v| > 2^52 is kOutOfRange, the bound real values get from
+  /// `FixedPointCodec`.
   Status SetData(DataMatrix data);
 
   const std::string& name() const { return name_; }
@@ -185,9 +187,10 @@ class DataHolder {
   Result<std::vector<std::vector<uint8_t>>> EncodedStringColumn(
       size_t column) const;
 
-  /// Derives a mask generator from the seed shared with `peer`, bound to a
-  /// protocol context label. Distinct labels (attribute, pair, role) yield
-  /// independent mask streams, so no mask is ever reused across contexts.
+  /// Derives a ChaCha20 mask generator from the seed shared with `peer`,
+  /// bound to a protocol context label. Distinct labels (attribute, pair,
+  /// role) yield independent mask streams, so no mask is ever reused
+  /// across contexts.
   Result<std::unique_ptr<Prng>> PairPrng(const std::string& peer,
                                          const std::string& label) const;
 
@@ -199,7 +202,7 @@ class DataHolder {
   /// The one blocking receive of this party: `Receive` bound to the
   /// session's cancel token (see `BindCancelToken`).
   Result<Message> Recv(const std::string& from, const std::string& topic) {
-    return network_->ReceiveCancellable(name_, from, topic, cancel_);
+    return network_->Receive(name_, from, topic, cancel_);
   }
 
   /// Refcounted variant for payloads shared by several range builds: the

@@ -11,6 +11,7 @@ Status SessionRegistry::StartSession(const std::string& id, SessionBody body) {
         "session id must be non-empty (the empty id is the transport's "
         "default session)");
   }
+  PPC_RETURN_IF_ERROR(CheckRealSession(id));
   MutexLock lock(mutex_);
   if (live_.count(id) != 0 || retired_.count(id) != 0) {
     return Status::AlreadyExists("session '" + id + "' already started");

@@ -59,8 +59,9 @@ class SessionRegistry {
   SessionRegistry& operator=(const SessionRegistry&) = delete;
 
   /// Starts session `id` on its own thread. kInvalidArgument on an empty
-  /// id, kAlreadyExists on a reused one (even after it finished — a
-  /// session id names one protocol execution, ever).
+  /// id or the reserved `kAllSessions` scope, kAlreadyExists on a reused
+  /// one (even after it finished — a session id names one protocol
+  /// execution, ever).
   Status StartSession(const std::string& id, SessionBody body)
       EXCLUDES(mutex_);
 

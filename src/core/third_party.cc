@@ -128,7 +128,7 @@ Result<std::unique_ptr<Prng>> ThirdParty::HolderPrng(
   if (it == seeds_.end()) {
     return Status::FailedPrecondition("no shared seed with '" + holder + "'");
   }
-  return MakePrngFromKey(config_.prng_kind,
+  return MakePrngFromKey(PrngKind::kChaCha20,
                          HmacSha256::DeriveKey(it->second, label));
 }
 

@@ -168,7 +168,8 @@ Result<LabeledDataset> Generators::CategoricalClusters(
       if (prng->NextUnitDouble() < options.noise) {
         symbol = static_cast<size_t>(prng->NextBounded(options.domain_size));
       }
-      row.push_back(Value::Categorical("v" + std::to_string(symbol)));
+      row.push_back(
+          Value::Categorical(std::string("v").append(std::to_string(symbol))));
     }
     PPC_RETURN_IF_ERROR(out.data.AppendRow(std::move(row)));
   }
@@ -217,7 +218,8 @@ Result<LabeledDataset> Generators::MixedClusters(size_t n,
     if (prng->NextUnitDouble() < options.categorical_noise) {
       symbol = static_cast<size_t>(prng->NextBounded(options.categorical_domain));
     }
-    row.push_back(Value::Categorical("c" + std::to_string(symbol)));
+    row.push_back(
+        Value::Categorical(std::string("c").append(std::to_string(symbol))));
     row.push_back(Value::Alphanumeric(Mutate(
         ancestors[label], alphabet, options.string_mutation_rate, 0.0, prng)));
     PPC_RETURN_IF_ERROR(out.data.AppendRow(std::move(row)));

@@ -47,6 +47,7 @@ auto SessionRange(Map& map, const typename Map::key_type& first) {
 }  // namespace
 
 Status ChannelTransport::CheckLiveLocked(const std::string& session) const {
+  PPC_RETURN_IF_ERROR(CheckRealSession(session));
   if (retired_.count(session) == 0) return Status::OK();
   return Status::FailedPrecondition(
       "session '" + session +
@@ -140,8 +141,9 @@ Result<std::string> ChannelTransport::PrepareFrame(
     auto tap_it = taps_.find(std::make_pair(from, to));
     if (tap_it != taps_.end()) {
       for (const TapEntry& entry : tap_it->second) {
-        if (entry.filtered && entry.session != session) continue;
-        matching.push_back(entry.tap);
+        if (entry.scope == session || entry.scope == kAllSessions) {
+          matching.push_back(entry.tap);
+        }
       }
     }
   }
@@ -168,13 +170,6 @@ Status ChannelTransport::DeliverLocal(Endpoint* endpoint, Message message) {
   return Status::OK();
 }
 
-Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
-                                            const std::string& to,
-                                            const std::string& from,
-                                            const std::string& expected_topic) {
-  return ReceiveOnCancellable(session, to, from, expected_topic, nullptr);
-}
-
 namespace {
 
 /// Channel context appended to every blocking-receive failure so a stuck
@@ -189,9 +184,11 @@ std::string ReceiveContext(const std::string& session, const std::string& from,
 
 }  // namespace
 
-Result<Message> ChannelTransport::ReceiveOnCancellable(
-    const std::string& session, const std::string& to, const std::string& from,
-    const std::string& expected_topic, const CancelToken* cancel) {
+Result<Message> ChannelTransport::ReceiveOn(const std::string& session,
+                                            const std::string& to,
+                                            const std::string& from,
+                                            const std::string& expected_topic,
+                                            const CancelToken* cancel) {
   const bool secured =
       security() == TransportSecurity::kAuthenticatedEncryption;
   auto decorate = [&](const Status& status) {
@@ -307,25 +304,18 @@ Result<Message> ChannelTransport::ReceiveOnCancellable(
   return msg;
 }
 
-size_t ChannelTransport::PendingCount(const std::string& to) const {
-  Endpoint* endpoint = FindEndpoint(to);
-  if (endpoint == nullptr) return 0;
-  MutexLock lock(endpoint->mutex);
-  size_t total = 0;
-  for (const auto& [key, queue] : endpoint->queues) {
-    total += queue->frames.size();
-  }
-  return total;
-}
-
-size_t ChannelTransport::PendingCountOn(const std::string& session,
+size_t ChannelTransport::PendingCountOn(const std::string& scope,
                                         const std::string& to) const {
   Endpoint* endpoint = FindEndpoint(to);
   if (endpoint == nullptr) return 0;
   MutexLock lock(endpoint->mutex);
+  auto begin = endpoint->queues.begin();
+  auto end = endpoint->queues.end();
+  if (scope != kAllSessions) {
+    std::tie(begin, end) =
+        SessionRange(endpoint->queues, QueueKey(scope, std::string()));
+  }
   size_t total = 0;
-  auto [begin, end] =
-      SessionRange(endpoint->queues, QueueKey(session, std::string()));
   for (auto it = begin; it != end; ++it) total += it->second->frames.size();
   return total;
 }
@@ -357,68 +347,39 @@ ChannelStats ChannelTransport::SumLocked(const std::string& from,
 }
 
 ChannelStats ChannelTransport::SessionSumLocked(const std::string& session,
-                                                const std::string& from) const {
+                                                const std::string& from,
+                                                const std::string& to) const {
   ChannelStats total;
   auto retired = retired_.find(session);
   if (retired != retired_.end()) {
     for (const RetiredChannel& channel : retired->second) {
-      if (Matches(channel.from, from)) Accumulate(&total, channel.stats);
+      if (Matches(channel.from, from) && Matches(channel.to, to)) {
+        Accumulate(&total, channel.stats);
+      }
     }
     return total;
   }
   auto [begin, end] = SessionRange(
       channels_, ChannelKey(session, std::string(), std::string()));
   for (auto it = begin; it != end; ++it) {
-    if (Matches(std::get<1>(it->first), from)) {
+    if (Matches(std::get<1>(it->first), from) &&
+        Matches(std::get<2>(it->first), to)) {
       Accumulate(&total, it->second->Stats());
     }
   }
   return total;
 }
 
-ChannelStats ChannelTransport::StatsFor(const std::string& from,
-                                        const std::string& to) const {
-  // Sums the from -> to channels of every session: what this endpoint
-  // shipped between the two parties, regardless of the session it
-  // belonged to. StatsOn isolates one session.
-  MutexLock lock(registry_mutex_);
-  return SumLocked(from, to);
-}
-
-ChannelStats ChannelTransport::StatsOn(const std::string& session,
+ChannelStats ChannelTransport::StatsOn(const std::string& scope,
                                        const std::string& from,
                                        const std::string& to) const {
   MutexLock lock(registry_mutex_);
-  auto it = channels_.find(ChannelKey(session, from, to));
-  if (it != channels_.end()) return it->second->Stats();
-  auto retired = retired_.find(session);
-  if (retired != retired_.end()) {
-    for (const RetiredChannel& channel : retired->second) {
-      if (channel.from == from && channel.to == to) return channel.stats;
-    }
+  if (scope == kAllSessions) return SumLocked(from, to);
+  if (!from.empty() && !to.empty()) {
+    auto it = channels_.find(ChannelKey(scope, from, to));
+    if (it != channels_.end()) return it->second->Stats();
   }
-  return ChannelStats{};
-}
-
-ChannelStats ChannelTransport::TotalSentBy(const std::string& party) const {
-  MutexLock lock(registry_mutex_);
-  return SumLocked(party, std::string());
-}
-
-ChannelStats ChannelTransport::TotalSentByOn(const std::string& session,
-                                             const std::string& party) const {
-  MutexLock lock(registry_mutex_);
-  return SessionSumLocked(session, party);
-}
-
-ChannelStats ChannelTransport::GrandTotal() const {
-  MutexLock lock(registry_mutex_);
-  return SumLocked(std::string(), std::string());
-}
-
-ChannelStats ChannelTransport::GrandTotalOn(const std::string& session) const {
-  MutexLock lock(registry_mutex_);
-  return SessionSumLocked(session, std::string());
+  return SessionSumLocked(scope, from, to);
 }
 
 void ChannelTransport::ResetStats() {
@@ -436,21 +397,11 @@ void ChannelTransport::ResetStats() {
   }
 }
 
-void ChannelTransport::AddTapEntry(const std::string& from,
-                                   const std::string& to, TapEntry entry) {
-  MutexLock lock(tap_mutex_);
-  taps_[std::make_pair(from, to)].push_back(std::move(entry));
-}
-
-void ChannelTransport::AddTap(const std::string& from, const std::string& to,
-                              Tap tap) {
-  AddTapEntry(from, to, TapEntry{false, std::string(), std::move(tap)});
-}
-
-void ChannelTransport::AddTapOn(const std::string& session,
+void ChannelTransport::AddTapOn(const std::string& scope,
                                 const std::string& from, const std::string& to,
                                 Tap tap) {
-  AddTapEntry(from, to, TapEntry{true, session, std::move(tap)});
+  MutexLock lock(tap_mutex_);
+  taps_[std::make_pair(from, to)].push_back(TapEntry{scope, std::move(tap)});
 }
 
 Status ChannelTransport::SetNonceCounterForTesting(const std::string& session,

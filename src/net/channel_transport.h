@@ -24,7 +24,7 @@ namespace ppc {
 /// Shared machinery for `Network` backends that deliver frames into
 /// per-receiver FIFO queues with per-directed-channel accounting — which
 /// is every backend in the tree. One implementation of the
-/// contract-critical paths (session demultiplexing, blocking `Receive`
+/// contract-critical paths (session demultiplexing, the blocking receive
 /// with timeout and strict topic checking, pending counts, stats
 /// aggregation and reset, tap fan-out, `SecureChannel` seal/open) keeps
 /// the in-memory simulator and the TCP transport behaviorally identical
@@ -39,42 +39,14 @@ namespace ppc {
 ///
 /// Session lifetime: `PurgeSession` retires a finished session. Its
 /// queues, channel states and crypto contexts are freed; what stays is
-/// one compact record of its final send counters, so `StatsOn`,
-/// `GrandTotal` and friends stay exact. A retired id is closed for good:
+/// one compact record of its final send counters, so `StatsOn` and the
+/// wrappers built on it stay exact. A retired id is closed for good:
 /// sends and injections on it fail with kFailedPrecondition, and frames
 /// that still arrive for it are dropped — reopening it would restart its
 /// nonce counters and reuse (key, nonce) pairs.
 class ChannelTransport : public Network {
  public:
-  // -- The shared half of the Network contract ------------------------------
-
-  Status Send(const std::string& from, const std::string& to,
-              const std::string& topic, std::string payload) override {
-    return SendOn(kDefaultSession, from, to, topic, std::move(payload));
-  }
-  Result<Message> Receive(const std::string& to, const std::string& from,
-                          const std::string& expected_topic = "") override {
-    return ReceiveOn(kDefaultSession, to, from, expected_topic);
-  }
-  Status InjectFrame(const std::string& from, const std::string& to,
-                     const std::string& topic,
-                     std::string wire_bytes) override {
-    return InjectFrameOn(kDefaultSession, from, to, topic,
-                         std::move(wire_bytes));
-  }
-
-  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
-                            const std::string& from,
-                            const std::string& expected_topic = "") override
-      EXCLUDES(registry_mutex_);
-
-  Result<Message> ReceiveCancellable(const std::string& to,
-                                     const std::string& from,
-                                     const std::string& expected_topic,
-                                     const CancelToken* cancel) override {
-    return ReceiveOnCancellable(kDefaultSession, to, from, expected_topic,
-                                cancel);
-  }
+  // -- The shared half of the Network core ---------------------------------
 
   /// The real blocking receive of every queue-based backend. It parks on
   /// its own `(session, from)` queue, so only a frame for that queue, a
@@ -84,11 +56,10 @@ class ChannelTransport : public Network {
   /// topic in the message; a token deadline/cancellation keeps the
   /// token's own code (`kDeadlineExceeded` or the cancel reason),
   /// likewise decorated; a retired session is kFailedPrecondition.
-  Result<Message> ReceiveOnCancellable(const std::string& session,
-                                       const std::string& to,
-                                       const std::string& from,
-                                       const std::string& expected_topic,
-                                       const CancelToken* cancel) override
+  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
+                            const std::string& from,
+                            const std::string& expected_topic,
+                            const CancelToken* cancel) override
       EXCLUDES(registry_mutex_);
 
   /// Retires `session`: frees its directed channels (nonce counters,
@@ -108,29 +79,16 @@ class ChannelTransport : public Network {
         receive_timeout_.load(std::memory_order_relaxed));
   }
 
-  size_t PendingCount(const std::string& to) const override
-      EXCLUDES(registry_mutex_);
-  size_t PendingCountOn(const std::string& session,
+  size_t PendingCountOn(const std::string& scope,
                         const std::string& to) const override
       EXCLUDES(registry_mutex_);
-  ChannelStats StatsFor(const std::string& from,
-                        const std::string& to) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats StatsOn(const std::string& session, const std::string& from,
+  /// An exact `(session, from, to)` channel is one map lookup; every
+  /// other scope sums.
+  ChannelStats StatsOn(const std::string& scope, const std::string& from,
                        const std::string& to) const override
       EXCLUDES(registry_mutex_);
-  ChannelStats TotalSentBy(const std::string& party) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats TotalSentByOn(const std::string& session,
-                             const std::string& party) const override
-      EXCLUDES(registry_mutex_);
-  ChannelStats GrandTotal() const override EXCLUDES(registry_mutex_);
-  ChannelStats GrandTotalOn(const std::string& session) const override
-      EXCLUDES(registry_mutex_);
   void ResetStats() override EXCLUDES(registry_mutex_);
-  void AddTap(const std::string& from, const std::string& to, Tap tap) override
-      EXCLUDES(tap_mutex_);
-  void AddTapOn(const std::string& session, const std::string& from,
+  void AddTapOn(const std::string& scope, const std::string& from,
                 const std::string& to, Tap tap) override EXCLUDES(tap_mutex_);
   TransportSecurity security() const override { return security_; }
 
@@ -226,7 +184,8 @@ class ChannelTransport : public Network {
   Endpoint* FindEndpointLocked(const std::string& name) const
       REQUIRES(registry_mutex_);
 
-  /// kFailedPrecondition iff `session` has been retired by `PurgeSession`.
+  /// kFailedPrecondition iff `session` has been retired by `PurgeSession`;
+  /// kInvalidArgument for `kAllSessions`, which is never live.
   Status CheckLiveLocked(const std::string& session) const
       REQUIRES(registry_mutex_);
 
@@ -241,7 +200,7 @@ class ChannelTransport : public Network {
   /// One registry-locked lookup for the whole receive path: the endpoint
   /// for `to` and, when `channel` is non-null, the session's `from` ->
   /// `to` channel state if that channel already exists (never created
-  /// here — a fruitless Receive must leave no state behind). kNotFound for
+  /// here — a fruitless receive must leave no state behind). kNotFound for
   /// an unregistered receiver, kFailedPrecondition for a retired session.
   Result<Endpoint*> ResolveReceive(const std::string& session,
                                    const std::string& to,
@@ -297,16 +256,12 @@ class ChannelTransport : public Network {
       GUARDED_BY(registry_mutex_);
 
  private:
-  /// One registered eavesdropper: fires for every frame of its channel,
-  /// or only for one session's frames when filtered.
+  /// One registered eavesdropper: fires for the frames of its channel in
+  /// `scope` (one session, or `kAllSessions`).
   struct TapEntry {
-    bool filtered = false;
-    std::string session;
+    std::string scope;
     Tap tap;
   };
-
-  void AddTapEntry(const std::string& from, const std::string& to,
-                   TapEntry entry) EXCLUDES(tap_mutex_);
 
   /// One retired channel's final counters.
   struct RetiredChannel {
@@ -319,10 +274,11 @@ class ChannelTransport : public Network {
   /// `from` to `to`; an empty name matches every party.
   ChannelStats SumLocked(const std::string& from, const std::string& to) const
       REQUIRES(registry_mutex_);
-  /// Counters summed over `session`'s channels sent by `from` (every
-  /// sender when empty), from its live range or its retired record.
+  /// `SumLocked` over `session`'s channels alone, from its live range or
+  /// its retired record.
   ChannelStats SessionSumLocked(const std::string& session,
-                                const std::string& from) const
+                                const std::string& from,
+                                const std::string& to) const
       REQUIRES(registry_mutex_);
 
   /// Retired sessions: every purged id, with the final counters of the

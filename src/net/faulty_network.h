@@ -80,10 +80,12 @@ Result<FaultProfile> FaultProfileFromName(const std::string& name);
 /// channels.
 ///
 /// Faults act on the *send* path only (where the wire bytes are born):
-/// receives, stats, taps, and registration forward untouched. Receivers
-/// experience faults as the protocol would on a real bad network — a
-/// missing frame (timeout), a corrupt frame (integrity failure), an
-/// unexpected frame (protocol violation).
+/// of the `Network` core only `SendOn` and `PurgeSession` are the
+/// wrapper's own; receives, stats, taps, injection and registration
+/// forward untouched, and the plain wrappers of `Network` reach the chaos
+/// through `SendOn`. Receivers experience faults as the protocol would on
+/// a real bad network — a missing frame (timeout), a corrupt frame
+/// (integrity failure), an unexpected frame (protocol violation).
 ///
 /// Thread-safe: per-channel chaos state lives under one mutex; sleeps
 /// and base-network calls happen outside it.
@@ -108,103 +110,58 @@ class FaultyNetwork : public Network {
   };
   FaultCounts fault_counts() const EXCLUDES(chaos_mutex_);
 
-  // -- Network: send path carries the chaos ---------------------------------
-  Status Send(const std::string& from, const std::string& to,
-              const std::string& topic, std::string payload) override {
-    return SendOn(kDefaultSession, from, to, topic, std::move(payload));
-  }
+  // -- Network: the send path carries the chaos ----------------------------
+
+  /// Refuses `kAllSessions` before any chaos draw, so a dropped frame can
+  /// never hide the refusal.
   Status SendOn(const std::string& session, const std::string& from,
                 const std::string& to, const std::string& topic,
                 std::string payload) override EXCLUDES(chaos_mutex_);
 
-  // -- Network: everything else forwards ------------------------------------
+  /// Forwards to the base after dropping the wrapper's own per-channel
+  /// chaos state for `session` (frame counters, held reorder frames).
+  void PurgeSession(const std::string& session) override
+      EXCLUDES(chaos_mutex_);
+
+  // -- Network: the rest of the core forwards -------------------------------
   Status RegisterParty(const std::string& name) override {
     return base_->RegisterParty(name);
   }
   bool HasParty(const std::string& name) const override {
     return base_->HasParty(name);
   }
-  Result<Message> Receive(const std::string& to, const std::string& from,
-                          const std::string& expected_topic = "") override {
-    return base_->Receive(to, from, expected_topic);
-  }
-  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
-                            const std::string& from,
-                            const std::string& expected_topic = "") override {
-    return base_->ReceiveOn(session, to, from, expected_topic);
-  }
-  Result<Message> ReceiveCancellable(const std::string& to,
-                                     const std::string& from,
-                                     const std::string& expected_topic,
-                                     const CancelToken* cancel) override {
-    return base_->ReceiveCancellable(to, from, expected_topic, cancel);
-  }
-  Result<Message> ReceiveOnCancellable(const std::string& session,
-                                       const std::string& to,
-                                       const std::string& from,
-                                       const std::string& expected_topic,
-                                       const CancelToken* cancel) override {
-    return base_->ReceiveOnCancellable(session, to, from, expected_topic,
-                                       cancel);
-  }
+  TransportSecurity security() const override { return base_->security(); }
   void set_receive_timeout(std::chrono::milliseconds timeout) override {
     base_->set_receive_timeout(timeout);
   }
   std::chrono::milliseconds receive_timeout() const override {
     return base_->receive_timeout();
   }
-  size_t PendingCount(const std::string& to) const override {
-    return base_->PendingCount(to);
-  }
-  size_t PendingCountOn(const std::string& session,
-                        const std::string& to) const override {
-    return base_->PendingCountOn(session, to);
-  }
-  ChannelStats StatsFor(const std::string& from,
-                        const std::string& to) const override {
-    return base_->StatsFor(from, to);
-  }
-  ChannelStats StatsOn(const std::string& session, const std::string& from,
-                       const std::string& to) const override {
-    return base_->StatsOn(session, from, to);
-  }
-  ChannelStats TotalSentBy(const std::string& party) const override {
-    return base_->TotalSentBy(party);
-  }
-  ChannelStats TotalSentByOn(const std::string& session,
-                             const std::string& party) const override {
-    return base_->TotalSentByOn(session, party);
-  }
-  ChannelStats GrandTotal() const override { return base_->GrandTotal(); }
-  ChannelStats GrandTotalOn(const std::string& session) const override {
-    return base_->GrandTotalOn(session);
-  }
   void ResetStats() override { base_->ResetStats(); }
-  void AddTap(const std::string& from, const std::string& to,
-              Tap tap) override {
-    base_->AddTap(from, to, std::move(tap));
-  }
-  void AddTapOn(const std::string& session, const std::string& from,
-                const std::string& to, Tap tap) override {
-    base_->AddTapOn(session, from, to, std::move(tap));
-  }
-  Status InjectFrame(const std::string& from, const std::string& to,
-                     const std::string& topic,
-                     std::string wire_bytes) override {
-    return base_->InjectFrame(from, to, topic, std::move(wire_bytes));
-  }
   Status InjectFrameOn(const std::string& session, const std::string& from,
                        const std::string& to, const std::string& topic,
                        std::string wire_bytes) override {
     return base_->InjectFrameOn(session, from, to, topic,
                                 std::move(wire_bytes));
   }
-  TransportSecurity security() const override { return base_->security(); }
-
-  /// Forwards to the base after dropping the wrapper's own per-channel
-  /// chaos state for `session` (frame counters, held reorder frames).
-  void PurgeSession(const std::string& session) override
-      EXCLUDES(chaos_mutex_);
+  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
+                            const std::string& from,
+                            const std::string& expected_topic,
+                            const CancelToken* cancel) override {
+    return base_->ReceiveOn(session, to, from, expected_topic, cancel);
+  }
+  ChannelStats StatsOn(const std::string& scope, const std::string& from,
+                       const std::string& to) const override {
+    return base_->StatsOn(scope, from, to);
+  }
+  size_t PendingCountOn(const std::string& scope,
+                        const std::string& to) const override {
+    return base_->PendingCountOn(scope, to);
+  }
+  void AddTapOn(const std::string& scope, const std::string& from,
+                const std::string& to, Tap tap) override {
+    base_->AddTapOn(scope, from, to, std::move(tap));
+  }
 
  private:
   /// (session, from, to), same identity as the transport's channels.
@@ -246,12 +203,6 @@ class FaultyNetwork : public Network {
   Decision Decide(const std::string& session, const std::string& from,
                   const std::string& to, const std::string& topic,
                   const std::string& payload) EXCLUDES(chaos_mutex_);
-
-  /// Sends through the base while capturing the sealed wire bytes into
-  /// the channel's chaos state (for duplicate injection).
-  Status ForwardSend(const std::string& session, const std::string& from,
-                     const std::string& to, const std::string& topic,
-                     std::string payload) EXCLUDES(chaos_mutex_);
 
   Network* base_;
   FaultProfile profile_;

@@ -6,11 +6,16 @@
 namespace ppc {
 
 /// The logical session id of the single-session deployments that predate
-/// session multiplexing. The plain `Network` methods (`Send`, `Receive`,
-/// ...) operate on this session; the `...On` variants take an explicit
-/// id. Default-session traffic is byte-identical to the pre-multiplexing
-/// wire format's, so captures and goldens carry over.
+/// session multiplexing. The plain data-path `Network` calls (`Send`,
+/// `Receive`, `InjectFrame`) operate on this session. Default-session
+/// traffic is byte-identical to the pre-multiplexing wire format's, so
+/// captures and goldens carry over.
 inline constexpr char kDefaultSession[] = "";
+
+/// The reserved scope "every session" of the `Network` observation calls
+/// (`StatsOn`, `PendingCountOn`, `AddTapOn`). It names no real session:
+/// no frame is ever sent, received or delivered on it.
+inline constexpr char kAllSessions[] = "*";
 
 /// A protocol message between two named parties.
 ///

@@ -10,23 +10,23 @@
 
 namespace ppc {
 
-/// A `Network` view that binds one session id over a shared transport:
-/// every plain call (`Send`, `Receive`, `PendingCount`, ...) becomes the
-/// corresponding session-scoped call on the base. The protocol stack —
-/// parties, schedule executors, `PartyRunner` — takes a `Network*` and
-/// knows nothing about sessions; handing it one of these runs an entire
-/// clustering session multiplexed over whatever transport (and, on TCP,
-/// whatever pooled connections) the base provides. `SessionRegistry`
-/// creates one view per concurrent session.
+/// A `Network` view that binds one session id over a shared transport.
+/// The protocol stack — parties, schedule executors, `PartyRunner` — takes
+/// a `Network*` and knows nothing about sessions; handing it one of these
+/// runs an entire clustering session multiplexed over whatever transport
+/// (and, on TCP, whatever pooled connections) the base provides.
+/// `SessionRegistry` creates one view per concurrent session.
 ///
 /// Semantics:
+///   * Every session-taking core call maps `kDefaultSession` and
+///     `kAllSessions` to the bound id and passes any other explicit id
+///     through. So `Send`/`Receive` act on the bound session, and
+///     `GrandTotal`/`PendingCount`/`AddTap` observe it alone.
 ///   * `RegisterParty` tolerates kAlreadyExists: parties belong to the
 ///     transport, not the session, and N concurrent sessions share them.
-///   * Stats/pending/taps/inject are scoped to the bound session.
-///   * `ResetStats`, `set_receive_timeout` and `security` remain
-///     transport-global — a view cannot reset or retime just its slice.
-///   * The explicitly-scoped `...On` calls pass through unchanged, so a
-///     view composes with session-aware callers too.
+///   * `ResetStats`, `set_receive_timeout`, `security` and `PurgeSession`
+///     remain transport-wide — a view cannot reset or retime just its
+///     slice.
 ///
 /// The view holds no state beyond the id; it is as thread-safe as the
 /// base and must not outlive it.
@@ -46,105 +46,54 @@ class SessionNetwork : public Network {
   bool HasParty(const std::string& name) const override {
     return base_->HasParty(name);
   }
-  Status Send(const std::string& from, const std::string& to,
-              const std::string& topic, std::string payload) override {
-    return base_->SendOn(session_, from, to, topic, std::move(payload));
-  }
-  Result<Message> Receive(const std::string& to, const std::string& from,
-                          const std::string& expected_topic = "") override {
-    return base_->ReceiveOn(session_, to, from, expected_topic);
-  }
+  TransportSecurity security() const override { return base_->security(); }
   void set_receive_timeout(std::chrono::milliseconds timeout) override {
     base_->set_receive_timeout(timeout);
   }
   std::chrono::milliseconds receive_timeout() const override {
     return base_->receive_timeout();
   }
-  size_t PendingCount(const std::string& to) const override {
-    return base_->PendingCountOn(session_, to);
-  }
-  ChannelStats StatsFor(const std::string& from,
-                        const std::string& to) const override {
-    return base_->StatsOn(session_, from, to);
-  }
-  ChannelStats TotalSentBy(const std::string& party) const override {
-    return base_->TotalSentByOn(session_, party);
-  }
-  ChannelStats GrandTotal() const override {
-    return base_->GrandTotalOn(session_);
-  }
   void ResetStats() override { base_->ResetStats(); }
-  void AddTap(const std::string& from, const std::string& to,
-              Tap tap) override {
-    base_->AddTapOn(session_, from, to, std::move(tap));
-  }
-  Status InjectFrame(const std::string& from, const std::string& to,
-                     const std::string& topic,
-                     std::string wire_bytes) override {
-    return base_->InjectFrameOn(session_, from, to, topic,
-                                std::move(wire_bytes));
-  }
-  TransportSecurity security() const override { return base_->security(); }
-
-  // Explicit-session calls pass through untouched.
-  Status SendOn(const std::string& session, const std::string& from,
-                const std::string& to, const std::string& topic,
-                std::string payload) override {
-    return base_->SendOn(session, from, to, topic, std::move(payload));
-  }
-  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
-                            const std::string& from,
-                            const std::string& expected_topic = "") override {
-    return base_->ReceiveOn(session, to, from, expected_topic);
-  }
-  size_t PendingCountOn(const std::string& session,
-                        const std::string& to) const override {
-    return base_->PendingCountOn(session, to);
-  }
-  ChannelStats StatsOn(const std::string& session, const std::string& from,
-                       const std::string& to) const override {
-    return base_->StatsOn(session, from, to);
-  }
-  ChannelStats TotalSentByOn(const std::string& session,
-                             const std::string& party) const override {
-    return base_->TotalSentByOn(session, party);
-  }
-  ChannelStats GrandTotalOn(const std::string& session) const override {
-    return base_->GrandTotalOn(session);
-  }
-  void AddTapOn(const std::string& session, const std::string& from,
-                const std::string& to, Tap tap) override {
-    base_->AddTapOn(session, from, to, std::move(tap));
-  }
-  Status InjectFrameOn(const std::string& session, const std::string& from,
-                       const std::string& to, const std::string& topic,
-                       std::string wire_bytes) override {
-    return base_->InjectFrameOn(session, from, to, topic,
-                                std::move(wire_bytes));
-  }
-
-  // Cancellation-aware calls: the plain form binds the view's session,
-  // the explicit form passes through, purge forwards to the base.
-  Result<Message> ReceiveCancellable(const std::string& to,
-                                     const std::string& from,
-                                     const std::string& expected_topic,
-                                     const CancelToken* cancel) override {
-    return base_->ReceiveOnCancellable(session_, to, from, expected_topic,
-                                       cancel);
-  }
-  Result<Message> ReceiveOnCancellable(const std::string& session,
-                                       const std::string& to,
-                                       const std::string& from,
-                                       const std::string& expected_topic,
-                                       const CancelToken* cancel) override {
-    return base_->ReceiveOnCancellable(session, to, from, expected_topic,
-                                       cancel);
-  }
   void PurgeSession(const std::string& session) override {
     base_->PurgeSession(session);
   }
 
+  Status SendOn(const std::string& session, const std::string& from,
+                const std::string& to, const std::string& topic,
+                std::string payload) override {
+    return base_->SendOn(Bind(session), from, to, topic, std::move(payload));
+  }
+  Status InjectFrameOn(const std::string& session, const std::string& from,
+                       const std::string& to, const std::string& topic,
+                       std::string wire_bytes) override {
+    return base_->InjectFrameOn(Bind(session), from, to, topic,
+                                std::move(wire_bytes));
+  }
+  Result<Message> ReceiveOn(const std::string& session, const std::string& to,
+                            const std::string& from,
+                            const std::string& expected_topic,
+                            const CancelToken* cancel) override {
+    return base_->ReceiveOn(Bind(session), to, from, expected_topic, cancel);
+  }
+  ChannelStats StatsOn(const std::string& scope, const std::string& from,
+                       const std::string& to) const override {
+    return base_->StatsOn(Bind(scope), from, to);
+  }
+  size_t PendingCountOn(const std::string& scope,
+                        const std::string& to) const override {
+    return base_->PendingCountOn(Bind(scope), to);
+  }
+  void AddTapOn(const std::string& scope, const std::string& from,
+                const std::string& to, Tap tap) override {
+    base_->AddTapOn(Bind(scope), from, to, std::move(tap));
+  }
+
  private:
+  /// The bound id for the two implicit scopes; any other id unchanged.
+  const std::string& Bind(const std::string& session) const {
+    return session.empty() || session == kAllSessions ? session_ : session;
+  }
+
   Network* base_;
   std::string session_;
 };

@@ -138,8 +138,9 @@ class TcpNetwork : public ChannelTransport {
 
   /// Frames dropped on arrival: because the unclaimed stash overflowed (a
   /// peer flooding a name this endpoint never registers), or because they
-  /// belong to a session this endpoint has retired. TCP has no way to
-  /// bounce them back to the caller.
+  /// belong to a session this endpoint has retired or carry the reserved
+  /// `kAllSessions` scope. TCP has no way to bounce them back to the
+  /// caller.
   uint64_t DroppedFrameCount() const {
     return dropped_frames_.load(std::memory_order_relaxed);
   }
@@ -205,8 +206,9 @@ class TcpNetwork : public ChannelTransport {
   void DropConn(int fd);
 
   /// Enqueues an arrived frame into the hosted receiver's queue, or parks
-  /// it until that receiver registers. A frame for a retired session is
-  /// dropped (and counted in `DroppedFrameCount`).
+  /// it until that receiver registers. A frame for a retired session or
+  /// the reserved `kAllSessions` scope is dropped (and counted in
+  /// `DroppedFrameCount`).
   void Deliver(Message message) EXCLUDES(registry_mutex_);
 
   /// Send-side route lookup: `from` must be hosted here; resolves the

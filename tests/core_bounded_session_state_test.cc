@@ -458,7 +458,7 @@ TEST_P(BoundedSessionStateTest, ReapedSessionsKeepStatusAndCounters) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(net_->InjectFrameOn("ok", "A", "B", "t", "raw").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(net_->ReceiveOn("ok", "B", "A").status().code(),
+  EXPECT_EQ(net_->ReceiveOn("ok", "B", "A", "", nullptr).status().code(),
             StatusCode::kFailedPrecondition);
   if (net_->security() == TransportSecurity::kAuthenticatedEncryption) {
     EXPECT_EQ(net_->SetNonceCounterForTesting("ok", "A", "B", 7).code(),
@@ -506,8 +506,8 @@ TEST_P(BoundedSessionStateTest, CancelSessionReleasesParkedReceiveAtOnce) {
                     .StartSession(id,
                                   [&returned](Network* net,
                                               CancelToken* cancel) {
-                                    auto got = net->ReceiveCancellable(
-                                        "TP", "A", "", cancel);
+                                    auto got =
+                                        net->Receive("TP", "A", "", cancel);
                                     returned = Clock::now();
                                     return got.status();
                                   })
@@ -536,7 +536,8 @@ TEST_P(BoundedSessionStateTest, CancelSessionReleasesParkedReceiveAtOnce) {
 
 TEST_P(BoundedSessionStateTest, FrameWakesOnlyItsOwnQueue) {
   Result<Message> got = Status::Internal("never received");
-  std::thread receiver([&] { got = net_->ReceiveOn("s1", "TP", "A", "t"); });
+  std::thread receiver(
+      [&] { got = net_->ReceiveOn("s1", "TP", "A", "t", nullptr); });
   ASSERT_TRUE(Eventually([&] { return net_->QueueCountForTesting() == 1; }));
   const uint64_t wakes = net_->ReceiveWakeupsForTesting();
 
@@ -567,9 +568,7 @@ TEST_P(BoundedSessionStateTest, DeadlineExpiryIsTypedDeadlineExceeded) {
                   .StartSession("slow",
                                 [](Network* net, CancelToken* cancel) {
                                   cancel->ArmDeadline(60);
-                                  return net
-                                      ->ReceiveCancellable("TP", "A", "t",
-                                                           cancel)
+                                  return net->Receive("TP", "A", "t", cancel)
                                       .status();
                                 })
                   .ok());
@@ -585,7 +584,8 @@ TEST_P(BoundedSessionStateTest, DeadlineExpiryIsTypedDeadlineExceeded) {
 
 TEST_P(BoundedSessionStateTest, PurgeReleasesParkedReceive) {
   Result<Message> got = Status::Internal("never received");
-  std::thread receiver([&] { got = net_->ReceiveOn("job", "TP", "A"); });
+  std::thread receiver(
+      [&] { got = net_->ReceiveOn("job", "TP", "A", "", nullptr); });
   ASSERT_TRUE(Eventually([&] { return net_->QueueCountForTesting() == 1; }));
   ASSERT_TRUE(net_->SendOn("job", "B", "TP", "t", "undelivered").ok());
   ASSERT_TRUE(
@@ -630,7 +630,7 @@ TEST(BoundedSessionStateTcpTest, InboundFrameForRetiredSessionIsDropped) {
   // A live session on the same connection is unaffected.
   ASSERT_TRUE((*sender)->SendOn("next", "A", "TP", "t", "fresh").ok());
   (*receiver)->set_receive_timeout(kNetTimeout);
-  auto got = (*receiver)->ReceiveOn("next", "TP", "A", "t");
+  auto got = (*receiver)->ReceiveOn("next", "TP", "A", "t", nullptr);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->payload, "fresh");
 }

@@ -235,11 +235,11 @@ TEST(TamperedTransportTest, BitflipOnEncryptedFrameFailsMacCheck) {
   net.AddTap("A", "B", [&](const WireFrame& f) { frame = f.wire_bytes; });
   ASSERT_TRUE(net.Send("A", "B", "t", "attack at dawn").ok());
   // Drop the genuine message, then inject a bit-flipped copy of the frame.
-  ASSERT_TRUE(net.Receive("B", "A", "t").ok());
+  ASSERT_TRUE(net.Receive("B", "A", "t", nullptr).ok());
   std::string tampered = frame;
   tampered[10] = static_cast<char>(tampered[10] ^ 0x01);
   ASSERT_TRUE(net.InjectFrame("A", "B", "t", tampered).ok());
-  EXPECT_EQ(net.Receive("B", "A", "t").status().code(),
+  EXPECT_EQ(net.Receive("B", "A", "t", nullptr).status().code(),
             StatusCode::kProtocolViolation);
 }
 
@@ -252,9 +252,9 @@ TEST(TamperedTransportTest, TopicSubstitutionFailsMacCheck) {
   std::string frame;
   net.AddTap("A", "B", [&](const WireFrame& f) { frame = f.wire_bytes; });
   ASSERT_TRUE(net.Send("A", "B", "numeric.masked_vector", "payload").ok());
-  ASSERT_TRUE(net.Receive("B", "A", "numeric.masked_vector").ok());
+  ASSERT_TRUE(net.Receive("B", "A", "numeric.masked_vector", nullptr).ok());
   ASSERT_TRUE(net.InjectFrame("A", "B", "matrix.local", frame).ok());
-  EXPECT_EQ(net.Receive("B", "A", "matrix.local").status().code(),
+  EXPECT_EQ(net.Receive("B", "A", "matrix.local", nullptr).status().code(),
             StatusCode::kProtocolViolation);
 }
 
@@ -266,9 +266,9 @@ TEST(TamperedTransportTest, CrossChannelReplayFailsMacCheck) {
   std::string frame;
   net.AddTap("A", "B", [&](const WireFrame& f) { frame = f.wire_bytes; });
   ASSERT_TRUE(net.Send("A", "B", "t", "payload").ok());
-  ASSERT_TRUE(net.Receive("B", "A", "t").ok());
+  ASSERT_TRUE(net.Receive("B", "A", "t", nullptr).ok());
   ASSERT_TRUE(net.InjectFrame("B", "A", "t", frame).ok());
-  EXPECT_EQ(net.Receive("A", "B", "t").status().code(),
+  EXPECT_EQ(net.Receive("A", "B", "t", nullptr).status().code(),
             StatusCode::kProtocolViolation);
 }
 
@@ -277,7 +277,7 @@ TEST(TamperedTransportTest, TruncatedFrameRejected) {
   ASSERT_TRUE(net.RegisterParty("A").ok());
   ASSERT_TRUE(net.RegisterParty("B").ok());
   ASSERT_TRUE(net.InjectFrame("A", "B", "t", "short").ok());
-  EXPECT_EQ(net.Receive("B", "A", "t").status().code(),
+  EXPECT_EQ(net.Receive("B", "A", "t", nullptr).status().code(),
             StatusCode::kDataLoss);
 }
 
@@ -292,9 +292,9 @@ TEST(TamperedTransportTest, HonestReplayIsStillDelivered) {
   std::string frame;
   net.AddTap("A", "B", [&](const WireFrame& f) { frame = f.wire_bytes; });
   ASSERT_TRUE(net.Send("A", "B", "t", "payload").ok());
-  ASSERT_TRUE(net.Receive("B", "A", "t").ok());
+  ASSERT_TRUE(net.Receive("B", "A", "t", nullptr).ok());
   ASSERT_TRUE(net.InjectFrame("A", "B", "t", frame).ok());
-  auto replayed = net.Receive("B", "A", "t");
+  auto replayed = net.Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(replayed->payload, "payload");
 }

@@ -1,12 +1,15 @@
 // End-to-end tests of the dissimilarity-construction session (paper
 // Figs. 11-13): the privacy-preserving pipeline must reproduce centralized
 // computation exactly (the paper's "no loss of accuracy" claim), across
-// party counts, attribute types, masking modes and PRNG families — and the
+// party counts, attribute types, masking modes and tile sizes — and the
 // published outcome must follow the Fig. 13 contract.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <tuple>
 
 #include "cluster/quality.h"
 #include "core/outcome.h"
@@ -85,40 +88,6 @@ TEST_P(PartyCountTest, IntegerMatricesExactForKParties) {
 
 INSTANTIATE_TEST_SUITE_P(TwoToFive, PartyCountTest,
                          ::testing::Values(2, 3, 4, 5));
-
-class PrngKindSessionTest : public ::testing::TestWithParam<PrngKind> {};
-
-TEST_P(PrngKindSessionTest, AccuracyIndependentOfPrngFamily) {
-  LabeledDataset data = MixedDataset(15, 3);
-  auto parts = Partitioner::RoundRobin(data, 2).TakeValue();
-  ProtocolConfig config;
-  config.prng_kind = GetParam();
-  auto fixture =
-      MakeSession(data.data.schema(), MatricesOf(parts), config).TakeValue();
-  ASSERT_TRUE(fixture.session->Run().ok());
-  auto reference = CentralizedReference(parts, config);
-  for (size_t c = 0; c < data.data.schema().size(); ++c) {
-    const DissimilarityMatrix* secure =
-        fixture.third_party->AttributeMatrixForTesting(c).TakeValue();
-    EXPECT_LT(secure->MaxAbsDifference(reference[c]).TakeValue(), 1e-12);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, PrngKindSessionTest,
-                         ::testing::Values(PrngKind::kSplitMix64,
-                                           PrngKind::kXoshiro256,
-                                           PrngKind::kChaCha20),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case PrngKind::kSplitMix64:
-                               return "SplitMix64";
-                             case PrngKind::kXoshiro256:
-                               return "Xoshiro256";
-                             case PrngKind::kChaCha20:
-                               return "ChaCha20";
-                           }
-                           return "Unknown";
-                         });
 
 TEST(SessionTest, PerPairModeMatchesBatchMode) {
   LabeledDataset data = MixedDataset(18, 4);
@@ -476,13 +445,84 @@ TEST(SessionTest, UnknownRequesterRejected) {
 }
 
 
+// ------------------------------------------------ integer attribute range --
+
+/// One integer attribute, two holders: A holds {a0, a1}, B holds {b0, b1}.
+std::vector<LabeledDataset> IntegerParts(int64_t a0, int64_t a1, int64_t b0,
+                                         int64_t b1) {
+  Schema schema =
+      Schema::Create({{"count", AttributeType::kInteger}}).TakeValue();
+  std::vector<LabeledDataset> parts;
+  for (auto [first, second] : {std::pair{a0, a1}, std::pair{b0, b1}}) {
+    LabeledDataset part{DataMatrix(schema), {0, 0}};
+    EXPECT_TRUE(part.data.AppendRow({Value::Integer(first)}).ok());
+    EXPECT_TRUE(part.data.AppendRow({Value::Integer(second)}).ok());
+    parts.push_back(std::move(part));
+  }
+  return parts;
+}
+
+class IntegerRangeTest
+    : public ::testing::TestWithParam<std::tuple<MaskingMode, size_t>> {
+ protected:
+  ProtocolConfig Config() const {
+    ProtocolConfig config;
+    config.masking_mode = std::get<0>(GetParam());
+    config.tile_size = std::get<1>(GetParam());
+    return config;
+  }
+};
+
+TEST_P(IntegerRangeTest, ValuesBeyondTheBoundAreOutOfRange) {
+  constexpr int64_t kBound = int64_t{1} << 52;
+  // The first case spans holders with |A0 - B0| = 1.38e19 >= 2^63, which
+  // the comparison ring's signed read would wrap to 4.6e18.
+  const std::vector<std::vector<int64_t>> cases = {
+      {6900000000000000000, 0, -6900000000000000000, 1},
+      {kBound + 1, 0, 0, 1},
+      {-kBound - 1, 0, 0, 1},
+      {std::numeric_limits<int64_t>::min(), 0, 0, 1},
+      {std::numeric_limits<int64_t>::max(), 0, 0, 1}};
+  for (const std::vector<int64_t>& values : cases) {
+    auto parts = IntegerParts(values[0], values[1], values[2], values[3]);
+    auto fixture = MakeSession(parts[0].data.schema(), MatricesOf(parts),
+                               Config());
+    EXPECT_EQ(fixture.status().code(), StatusCode::kOutOfRange) << values[0];
+  }
+}
+
+TEST_P(IntegerRangeTest, BoundaryValuesMatchCentralizedExactly) {
+  constexpr int64_t kBound = int64_t{1} << 52;
+  auto parts = IntegerParts(kBound, 0, -kBound, 1);
+  auto fixture = MakeSession(parts[0].data.schema(), MatricesOf(parts),
+                             Config());
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  Status run = fixture->session->Run();
+  ASSERT_TRUE(run.ok()) << run.ToString();
+  auto reference = CentralizedReference(parts, Config());
+  const DissimilarityMatrix* secure =
+      fixture->third_party->AttributeMatrixForTesting(0).TakeValue();
+  EXPECT_EQ(secure->MaxAbsDifference(reference[0]).TakeValue(), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskingByTile, IntegerRangeTest,
+    ::testing::Combine(::testing::Values(MaskingMode::kBatch,
+                                         MaskingMode::kPerPair),
+                       ::testing::Values(size_t{0}, size_t{2})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == MaskingMode::kBatch
+                             ? "Batch"
+                             : "PerPair") +
+             "Tile" + std::to_string(std::get<1>(info.param));
+    });
+
 // ---------------------------------------------- randomized property sweep --
 
 struct SweepCase {
   uint64_t seed;
   size_t parties;
   MaskingMode mode;
-  PrngKind prng;
 };
 
 class SessionSweepTest : public ::testing::TestWithParam<SweepCase> {};
@@ -505,7 +545,6 @@ TEST_P(SessionSweepTest, RandomConfigurationsMatchCentralized) {
 
   ProtocolConfig config;
   config.masking_mode = config_case.mode;
-  config.prng_kind = config_case.prng;
   auto fixture =
       MakeSession(data.data.schema(), MatricesOf(parts), config,
                   TransportSecurity::kAuthenticatedEncryption,
@@ -525,14 +564,14 @@ TEST_P(SessionSweepTest, RandomConfigurationsMatchCentralized) {
 INSTANTIATE_TEST_SUITE_P(
     RandomizedSweep, SessionSweepTest,
     ::testing::Values(
-        SweepCase{1, 2, MaskingMode::kBatch, PrngKind::kChaCha20},
-        SweepCase{2, 3, MaskingMode::kPerPair, PrngKind::kChaCha20},
-        SweepCase{3, 4, MaskingMode::kBatch, PrngKind::kXoshiro256},
-        SweepCase{4, 2, MaskingMode::kPerPair, PrngKind::kSplitMix64},
-        SweepCase{5, 5, MaskingMode::kBatch, PrngKind::kChaCha20},
-        SweepCase{6, 3, MaskingMode::kBatch, PrngKind::kSplitMix64},
-        SweepCase{7, 2, MaskingMode::kPerPair, PrngKind::kXoshiro256},
-        SweepCase{8, 4, MaskingMode::kPerPair, PrngKind::kChaCha20}),
+        SweepCase{1, 2, MaskingMode::kBatch},
+        SweepCase{2, 3, MaskingMode::kPerPair},
+        SweepCase{3, 4, MaskingMode::kBatch},
+        SweepCase{4, 2, MaskingMode::kPerPair},
+        SweepCase{5, 5, MaskingMode::kBatch},
+        SweepCase{6, 3, MaskingMode::kBatch},
+        SweepCase{7, 2, MaskingMode::kPerPair},
+        SweepCase{8, 4, MaskingMode::kPerPair}),
     [](const auto& info) {
       return "Seed" + std::to_string(info.param.seed);
     });

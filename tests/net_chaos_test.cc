@@ -54,7 +54,7 @@ struct ChaosNet {
 TEST(FaultyNetworkTest, EmptyProfileForwardsUntouched) {
   ChaosNet net(FaultProfile{});
   ASSERT_TRUE(net.chaos.Send("A", "B", "t", "hello").ok());
-  auto msg = net.chaos.Receive("B", "A", "t");
+  auto msg = net.chaos.Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(msg.ok()) << msg.status().ToString();
   EXPECT_EQ(msg->payload, "hello");
   const auto counts = net.chaos.fault_counts();
@@ -73,7 +73,7 @@ TEST(FaultyNetworkTest, DropIsASilentHole) {
   EXPECT_EQ(net.chaos.PendingCount("B"), 0u);
   // A blocking receive discovers the hole as a typed transport timeout.
   net.chaos.set_receive_timeout(std::chrono::milliseconds(30));
-  EXPECT_EQ(net.chaos.Receive("B", "A", "t").status().code(),
+  EXPECT_EQ(net.chaos.Receive("B", "A", "t", nullptr).status().code(),
             StatusCode::kUnavailable);
   EXPECT_GE(net.chaos.fault_counts().dropped, 1u);
 }
@@ -83,7 +83,7 @@ TEST(FaultyNetworkTest, CorruptionIsATypedIntegrityFailure) {
   profile.corrupt_probability = 1.0;
   ChaosNet net(profile);
   ASSERT_TRUE(net.chaos.Send("A", "B", "t", "precious").ok());
-  auto msg = net.chaos.Receive("B", "A", "t");
+  auto msg = net.chaos.Receive("B", "A", "t", nullptr);
   ASSERT_FALSE(msg.ok());
   // MAC/parse failure at the receiver — never a silently wrong payload.
   EXPECT_TRUE(msg.status().code() == StatusCode::kDataLoss ||
@@ -98,7 +98,7 @@ TEST(FaultyNetworkTest, DelayDeliversIntact) {
   profile.max_delay_ms = 2;
   ChaosNet net(profile);
   ASSERT_TRUE(net.chaos.Send("A", "B", "t", "late but whole").ok());
-  auto msg = net.chaos.Receive("B", "A", "t");
+  auto msg = net.chaos.Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(msg.ok()) << msg.status().ToString();
   EXPECT_EQ(msg->payload, "late but whole");
   EXPECT_GE(net.chaos.fault_counts().delayed, 1u);
@@ -115,10 +115,10 @@ TEST(FaultyNetworkTest, DuplicateReplaysTheSealedFrame) {
   // it as an unexpected extra frame, which the topic discipline turns
   // into a typed error at the next differently-topiced receive.
   EXPECT_EQ(net.chaos.PendingCount("B"), 2u);
-  auto first = net.chaos.Receive("B", "A", "t");
+  auto first = net.chaos.Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->payload, "twice");
-  auto replay = net.chaos.Receive("B", "A", "t");
+  auto replay = net.chaos.Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(replay->payload, "twice");
   EXPECT_GE(net.chaos.fault_counts().duplicated, 1u);
@@ -135,11 +135,11 @@ TEST(FaultyNetworkTest, ReorderSwapsAdjacentFrames) {
   // The release round passes "second" through, then releases "first":
   // delivery (and sealing) order is second, first — each frame
   // individually valid on the authenticated channel.
-  auto a = net.chaos.Receive("B", "A");
+  auto a = net.chaos.Receive("B", "A", "", nullptr);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->payload, "second");
   EXPECT_EQ(a->topic, "t2");
-  auto b = net.chaos.Receive("B", "A");
+  auto b = net.chaos.Receive("B", "A", "", nullptr);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(b->payload, "first");
   EXPECT_EQ(b->topic, "t1");
@@ -179,7 +179,7 @@ TEST(FaultyNetworkTest, ScheduleReplaysExactlyFromSeed) {
       (void)net.chaos.Send("A", "B", "t", "frame-" + std::to_string(i));
     }
     for (;;) {
-      auto msg = net.chaos.Receive("B", "A");
+      auto msg = net.chaos.Receive("B", "A", "", nullptr);
       if (!msg.ok()) {
         if (msg.status().code() == StatusCode::kNotFound) break;
         delivered.push_back("<" + std::string(StatusCodeToString(
@@ -216,10 +216,10 @@ TEST(FaultyNetworkTest, PurgeSessionDropsHeldChaosState) {
   // the second), with no resurrected bytes in between.
   ASSERT_TRUE(net.chaos.SendOn("job2", "A", "B", "t", "x").ok());
   ASSERT_TRUE(net.chaos.SendOn("job2", "A", "B", "t", "y").ok());
-  auto a = net.chaos.ReceiveOn("job2", "B", "A");
+  auto a = net.chaos.ReceiveOn("job2", "B", "A", "", nullptr);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a->payload, "y");
-  auto b = net.chaos.ReceiveOn("job2", "B", "A");
+  auto b = net.chaos.ReceiveOn("job2", "B", "A", "", nullptr);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(b->payload, "x");
   EXPECT_EQ(net.chaos.PendingCountOn("job", "B"), 0u);

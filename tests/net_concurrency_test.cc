@@ -50,7 +50,7 @@ TEST_P(NetworkConcurrencyTest, ManySendersOneReceiverLosesNothing) {
     threads.emplace_back([&net, s, &received, &failures] {
       std::string name = "S" + std::to_string(s);
       for (size_t m = 0; m < kMessagesPerSender; ++m) {
-        auto msg = net.Receive("R", name, "stress.topic");
+        auto msg = net.Receive("R", name, "stress.topic", nullptr);
         if (!msg.ok()) {
           failures.fetch_add(1);
           return;
@@ -92,7 +92,7 @@ TEST_P(NetworkConcurrencyTest, BlockingReceiveTimesOut) {
   net.set_receive_timeout(milliseconds(60));
 
   auto start = steady_clock::now();
-  auto result = net.Receive("B", "A", "t");
+  auto result = net.Receive("B", "A", "t", nullptr);
   auto elapsed = std::chrono::duration_cast<milliseconds>(
       steady_clock::now() - start);
   // A blocking receive that times out is a typed transport error — the
@@ -114,7 +114,7 @@ TEST_P(NetworkConcurrencyTest, BlockingReceiveWakesOnArrival) {
     std::this_thread::sleep_for(milliseconds(30));
     ASSERT_TRUE(net.Send("A", "B", "t", "late frame").ok());
   });
-  auto msg = net.Receive("B", "A", "t");
+  auto msg = net.Receive("B", "A", "t", nullptr);
   sender.join();
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg->payload, "late frame");
@@ -126,7 +126,8 @@ TEST_P(NetworkConcurrencyTest, ZeroTimeoutStaysNonBlocking) {
   ASSERT_TRUE(net.RegisterParty("B").ok());
   // Default: no timeout configured — empty channel fails immediately.
   auto start = steady_clock::now();
-  EXPECT_EQ(net.Receive("B", "A", "t").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(net.Receive("B", "A", "t", nullptr).status().code(),
+            StatusCode::kNotFound);
   auto elapsed = std::chrono::duration_cast<milliseconds>(
       steady_clock::now() - start);
   EXPECT_LT(elapsed.count(), 50);
@@ -142,13 +143,13 @@ TEST_P(NetworkConcurrencyTest, TopicMismatchFailsFastEvenWhenBlocking) {
   ASSERT_TRUE(net.Send("A", "B", "actual", "x").ok());
 
   auto start = steady_clock::now();
-  auto wrong = net.Receive("B", "A", "expected");
+  auto wrong = net.Receive("B", "A", "expected", nullptr);
   auto elapsed = std::chrono::duration_cast<milliseconds>(
       steady_clock::now() - start);
   EXPECT_EQ(wrong.status().code(), StatusCode::kProtocolViolation);
   EXPECT_LT(elapsed.count(), 1000);
   // And the frame is still deliverable under its real topic.
-  EXPECT_TRUE(net.Receive("B", "A", "actual").ok());
+  EXPECT_TRUE(net.Receive("B", "A", "actual", nullptr).ok());
 }
 
 TEST_P(NetworkConcurrencyTest, ConcurrentSendersOnSameChannelKeepStats) {
@@ -174,7 +175,7 @@ TEST_P(NetworkConcurrencyTest, ConcurrentSendersOnSameChannelKeepStats) {
   EXPECT_EQ(net.StatsFor("A", "B").messages, kThreads * kPerThread);
   EXPECT_EQ(net.PendingCount("B"), kThreads * kPerThread);
   for (size_t m = 0; m < kThreads * kPerThread; ++m) {
-    auto msg = net.Receive("B", "A", "t");
+    auto msg = net.Receive("B", "A", "t", nullptr);
     ASSERT_TRUE(msg.ok()) << msg.status();
     EXPECT_EQ(msg->payload, "payload-xyz");
   }

@@ -67,11 +67,11 @@ TEST_P(SessionMuxTest, PerSessionFifoOnOneDirectedChannel) {
   }
   for (int i = 0; i < 16; i += 2) {
     // Drain alternately to prove the queues are truly independent.
-    auto odd = net_->ReceiveOn("odd", "B", "A", "t");
+    auto odd = net_->ReceiveOn("odd", "B", "A", "t", nullptr);
     ASSERT_TRUE(odd.ok()) << odd.status().ToString();
     EXPECT_EQ(odd->payload, "m" + std::to_string(i));
     EXPECT_EQ(odd->session, "odd");
-    auto even = net_->ReceiveOn("even", "B", "A", "t");
+    auto even = net_->ReceiveOn("even", "B", "A", "t", nullptr);
     ASSERT_TRUE(even.ok()) << even.status().ToString();
     EXPECT_EQ(even->payload, "m" + std::to_string(i + 1));
     EXPECT_EQ(even->session, "even");
@@ -82,10 +82,10 @@ TEST_P(SessionMuxTest, DefaultSessionAndPlainCallsAreTheSameStream) {
   ASSERT_TRUE(net_->Send("A", "B", "t", "via-plain").ok());
   ASSERT_TRUE(
       net_->SendOn(kDefaultSession, "A", "B", "t", "via-session-call").ok());
-  auto first = net_->ReceiveOn(kDefaultSession, "B", "A", "t");
+  auto first = net_->ReceiveOn(kDefaultSession, "B", "A", "t", nullptr);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->payload, "via-plain");
-  auto second = net_->Receive("B", "A", "t");
+  auto second = net_->Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->payload, "via-session-call");
 }
@@ -102,12 +102,12 @@ TEST_P(SessionMuxTest, SessionsDoNotShareKeys) {
   ASSERT_FALSE(sealed.empty());
 
   ASSERT_TRUE(net_->InjectFrameOn("s2", "A", "B", "t", sealed).ok());
-  auto crossed = net_->ReceiveOn("s2", "B", "A", "t");
+  auto crossed = net_->ReceiveOn("s2", "B", "A", "t", nullptr);
   EXPECT_EQ(crossed.status().code(), StatusCode::kProtocolViolation)
       << crossed.status().ToString();
 
   // The very same bytes decode fine where they belong.
-  auto legit = net_->ReceiveOn("s1", "B", "A", "t");
+  auto legit = net_->ReceiveOn("s1", "B", "A", "t", nullptr);
   ASSERT_TRUE(legit.ok()) << legit.status().ToString();
   EXPECT_EQ(legit->payload, "bound to s1");
 }
@@ -163,7 +163,7 @@ TEST_P(SessionMuxTest, NonceExhaustionRefusesFurtherSeals) {
 
   // One nonce left: this frame takes it and still round-trips.
   ASSERT_TRUE(net_->SendOn("s1", "A", "B", "t", "last frame").ok());
-  auto msg = net_->ReceiveOn("s1", "B", "A", "t");
+  auto msg = net_->ReceiveOn("s1", "B", "A", "t", nullptr);
   ASSERT_TRUE(msg.ok()) << msg.status().ToString();
   EXPECT_EQ(msg->payload, "last frame");
 
@@ -178,8 +178,8 @@ TEST_P(SessionMuxTest, NonceExhaustionRefusesFurtherSeals) {
   // Other sessions (and the reverse direction) have their own counters.
   ASSERT_TRUE(net_->SendOn("s2", "A", "B", "t", "fine").ok());
   ASSERT_TRUE(net_->Send("A", "B", "t", "also fine").ok());
-  EXPECT_EQ(net_->ReceiveOn("s2", "B", "A", "t")->payload, "fine");
-  EXPECT_EQ(net_->Receive("B", "A", "t")->payload, "also fine");
+  EXPECT_EQ(net_->ReceiveOn("s2", "B", "A", "t", nullptr)->payload, "fine");
+  EXPECT_EQ(net_->Receive("B", "A", "t", nullptr)->payload, "also fine");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SessionMuxTest,

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/serde.h"
 #include "net/secure_channel.h"
 #include "net/tcp_network.h"
 
@@ -68,7 +69,7 @@ TEST(TcpAuthTest, SharedCustomSecretInterops) {
       (*net_a)->AddRemoteParty("B", "127.0.0.1", (*net_b)->listen_port())
           .ok());
   ASSERT_TRUE((*net_a)->Send("A", "B", "t", "hello").ok());
-  auto msg = (*net_b)->Receive("B", "A", "t");
+  auto msg = (*net_b)->Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(msg.ok()) << msg.status().ToString();
   EXPECT_EQ(msg->payload, "hello");
 }
@@ -130,6 +131,45 @@ TEST(TcpAuthTest, ObsoletePreambleVersionIsCutOff) {
   }
 }
 
+/// Dials `port` and completes the challenge-response handshake by hand,
+/// as another TcpNetwork endpoint would; returns the attached socket.
+int DialAuthenticated(uint16_t port) {
+  const std::string auth_key =
+      SecureChannel::ConnectionAuthKey(SecureChannel::kMasterKey);
+  int fd = DialRaw(port);
+  const std::string dialer_challenge(SecureChannel::kChallengeLength, 'c');
+  EXPECT_TRUE(SendAll(fd, "PPT3" + dialer_challenge));
+  std::string greeting = RecvUpTo(
+      fd, SecureChannel::kChallengeLength + SecureChannel::kMacLength);
+  if (greeting.size() !=
+      SecureChannel::kChallengeLength + SecureChannel::kMacLength) {
+    ADD_FAILURE() << "short greeting: " << greeting.size() << " bytes";
+    return fd;
+  }
+  // The listener's own proof must verify under the shared key.
+  EXPECT_EQ(greeting.substr(SecureChannel::kChallengeLength),
+            SecureChannel::ConnectionAuthResponse(auth_key, "dial",
+                                                  dialer_challenge));
+  EXPECT_TRUE(SendAll(
+      fd, SecureChannel::ConnectionAuthResponse(
+              auth_key, "accept",
+              greeting.substr(0, SecureChannel::kChallengeLength))));
+  return fd;
+}
+
+/// One length-prefixed frame record as a peer endpoint writes it.
+std::string FrameRecord(const std::string& session, const std::string& wire) {
+  ByteWriter body;
+  body.WriteBytes("A");
+  body.WriteBytes("B");
+  body.WriteBytes("t");
+  body.WriteBytes(session);
+  body.WriteBytes(wire);
+  ByteWriter framed;
+  framed.WriteU32(static_cast<uint32_t>(body.bytes().size()));
+  return framed.TakeBytes() + body.TakeBytes();
+}
+
 TEST(TcpAuthTest, CorrectResponderGetsFramesAccepted) {
   // A raw socket that *can* answer the challenge is exactly what another
   // TcpNetwork endpoint does; completing the handshake by hand documents
@@ -139,24 +179,30 @@ TEST(TcpAuthTest, CorrectResponderGetsFramesAccepted) {
   (*net)->set_receive_timeout(std::chrono::seconds(10));
   ASSERT_TRUE((*net)->RegisterParty("B").ok());
 
-  const std::string auth_key =
-      SecureChannel::ConnectionAuthKey(SecureChannel::kMasterKey);
-  int fd = DialRaw((*net)->listen_port());
-  const std::string dialer_challenge(SecureChannel::kChallengeLength, 'c');
-  ASSERT_TRUE(SendAll(fd, "PPT3" + dialer_challenge));
-  std::string greeting = RecvUpTo(
-      fd, SecureChannel::kChallengeLength + SecureChannel::kMacLength);
-  ASSERT_EQ(greeting.size(),
-            SecureChannel::kChallengeLength + SecureChannel::kMacLength);
-  // The listener's own proof must verify under the shared key.
-  EXPECT_EQ(greeting.substr(SecureChannel::kChallengeLength),
-            SecureChannel::ConnectionAuthResponse(auth_key, "dial",
-                                                  dialer_challenge));
-  ASSERT_TRUE(SendAll(
-      fd, SecureChannel::ConnectionAuthResponse(
-              auth_key, "accept",
-              greeting.substr(0, SecureChannel::kChallengeLength))));
+  int fd = DialAuthenticated((*net)->listen_port());
   ::close(fd);  // Handshake done; no frames sent — nothing delivered.
+  EXPECT_EQ((*net)->PendingCount("B"), 0u);
+}
+
+TEST(TcpAuthTest, InboundFrameOnTheEverySessionScopeIsDropped) {
+  // `kAllSessions` is an observation scope, never a session: a peer that
+  // writes a frame carrying it gets the frame dropped, while a real
+  // session on the same connection still delivers.
+  TcpNetwork::Options options;
+  options.security = TransportSecurity::kPlaintext;
+  auto net = TcpNetwork::Create(options);
+  ASSERT_TRUE(net.ok());
+  (*net)->set_receive_timeout(std::chrono::seconds(10));
+  ASSERT_TRUE((*net)->RegisterParty("B").ok());
+
+  int fd = DialAuthenticated((*net)->listen_port());
+  ASSERT_TRUE(SendAll(fd, FrameRecord(kAllSessions, "scoped") +
+                              FrameRecord("job", "real")));
+  auto got = (*net)->ReceiveOn("job", "B", "A", "t", nullptr);
+  ::close(fd);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->payload, "real");
+  EXPECT_EQ((*net)->DroppedFrameCount(), 1u);
   EXPECT_EQ((*net)->PendingCount("B"), 0u);
 }
 

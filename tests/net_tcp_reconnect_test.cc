@@ -43,7 +43,7 @@ TEST(TcpReconnectTest, DeadConnectionFailsTypedThenNextSendRedials) {
 
   // m1 establishes the connection (dial + HMAC handshake) and crosses it.
   ASSERT_TRUE(net.a->Send("A", "B", "t", "m1").ok());
-  auto m1 = net.b->Receive("B", "A", "t");
+  auto m1 = net.b->Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(m1.ok()) << m1.status().ToString();
   EXPECT_EQ(m1->payload, "m1");
 
@@ -62,7 +62,7 @@ TEST(TcpReconnectTest, DeadConnectionFailsTypedThenNextSendRedials) {
   // sealed with the channel's NEXT nonce (the counter outlives the
   // connection), so the receiver's auth-decrypt accepts it.
   ASSERT_TRUE(net.a->Send("A", "B", "t", "m3").ok());
-  auto m3 = net.b->Receive("B", "A", "t");
+  auto m3 = net.b->Receive("B", "A", "t", nullptr);
   ASSERT_TRUE(m3.ok()) << m3.status().ToString();
   EXPECT_EQ(m3->payload, "m3");
   EXPECT_EQ(m3->topic, "t");
@@ -84,7 +84,7 @@ TEST(TcpReconnectTest, SurvivesRepeatedConnectionLoss) {
       EXPECT_EQ(first.code(), StatusCode::kUnavailable) << first.ToString();
       ASSERT_TRUE(net.a->Send("A", "B", "t", payload).ok()) << payload;
     }
-    auto msg = net.b->Receive("B", "A", "t");
+    auto msg = net.b->Receive("B", "A", "t", nullptr);
     ASSERT_TRUE(msg.ok()) << msg.status().ToString();
     EXPECT_EQ(msg->payload, payload);
     ++delivered;
@@ -95,7 +95,7 @@ TEST(TcpReconnectTest, SurvivesRepeatedConnectionLoss) {
   // The reverse direction dials its own connections and is untouched by
   // the forward channel's crashes.
   ASSERT_TRUE(net.b->Send("B", "A", "t", "ack").ok());
-  auto ack = net.a->Receive("A", "B", "t");
+  auto ack = net.a->Receive("A", "B", "t", nullptr);
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   EXPECT_EQ(ack->payload, "ack");
 }

@@ -21,7 +21,7 @@ class NetworkTest : public ::testing::TestWithParam<TransportSecurity> {
 
 TEST_P(NetworkTest, DeliversPayloadIntact) {
   ASSERT_TRUE(net_->Send("A", "B", "topic.x", "hello bytes \x01\x02").ok());
-  auto msg = net_->Receive("B", "A", "topic.x");
+  auto msg = net_->Receive("B", "A", "topic.x", nullptr);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg->payload, "hello bytes \x01\x02");
   EXPECT_EQ(msg->from, "A");
@@ -31,27 +31,27 @@ TEST_P(NetworkTest, DeliversPayloadIntact) {
 TEST_P(NetworkTest, FifoPerSenderReceiverPair) {
   ASSERT_TRUE(net_->Send("A", "B", "t", "first").ok());
   ASSERT_TRUE(net_->Send("A", "B", "t", "second").ok());
-  EXPECT_EQ(net_->Receive("B", "A", "t")->payload, "first");
-  EXPECT_EQ(net_->Receive("B", "A", "t")->payload, "second");
+  EXPECT_EQ(net_->Receive("B", "A", "t", nullptr)->payload, "first");
+  EXPECT_EQ(net_->Receive("B", "A", "t", nullptr)->payload, "second");
 }
 
 TEST_P(NetworkTest, InterleavedSendersSelectedByFrom) {
   ASSERT_TRUE(net_->Send("A", "TP", "t", "from-a").ok());
   ASSERT_TRUE(net_->Send("B", "TP", "t", "from-b").ok());
-  EXPECT_EQ(net_->Receive("TP", "B", "t")->payload, "from-b");
-  EXPECT_EQ(net_->Receive("TP", "A", "t")->payload, "from-a");
+  EXPECT_EQ(net_->Receive("TP", "B", "t", nullptr)->payload, "from-b");
+  EXPECT_EQ(net_->Receive("TP", "A", "t", nullptr)->payload, "from-a");
 }
 
 TEST_P(NetworkTest, TopicMismatchIsProtocolViolationAndKeepsMessage) {
   ASSERT_TRUE(net_->Send("A", "B", "actual", "x").ok());
-  auto wrong = net_->Receive("B", "A", "expected");
+  auto wrong = net_->Receive("B", "A", "expected", nullptr);
   EXPECT_EQ(wrong.status().code(), StatusCode::kProtocolViolation);
   // Message still there.
-  EXPECT_TRUE(net_->Receive("B", "A", "actual").ok());
+  EXPECT_TRUE(net_->Receive("B", "A", "actual", nullptr).ok());
 }
 
 TEST_P(NetworkTest, ReceiveFromEmptyQueueIsNotFound) {
-  EXPECT_EQ(net_->Receive("B", "A", "t").status().code(),
+  EXPECT_EQ(net_->Receive("B", "A", "t", nullptr).status().code(),
             StatusCode::kNotFound);
 }
 
@@ -60,7 +60,7 @@ TEST_P(NetworkTest, UnknownPartiesRejected) {
             StatusCode::kNotFound);
   EXPECT_EQ(net_->Send("A", "ghost", "t", "x").code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(net_->Receive("ghost", "A").status().code(),
+  EXPECT_EQ(net_->Receive("ghost", "A", "", nullptr).status().code(),
             StatusCode::kNotFound);
 }
 
@@ -114,9 +114,9 @@ TEST_P(NetworkTest, PendingCountForUnregisteredPartyIsZero) {
 TEST_P(NetworkTest, PendingCountDropsAsMessagesAreConsumed) {
   ASSERT_TRUE(net_->Send("A", "B", "t", "x").ok());
   ASSERT_TRUE(net_->Send("TP", "B", "t", "y").ok());
-  ASSERT_TRUE(net_->Receive("B", "A", "t").ok());
+  ASSERT_TRUE(net_->Receive("B", "A", "t", nullptr).ok());
   EXPECT_EQ(net_->PendingCount("B"), 1u);
-  ASSERT_TRUE(net_->Receive("B", "TP", "t").ok());
+  ASSERT_TRUE(net_->Receive("B", "TP", "t", nullptr).ok());
   EXPECT_EQ(net_->PendingCount("B"), 0u);
 }
 
@@ -124,15 +124,16 @@ TEST_P(NetworkTest, ReceiveFromUnregisteredSenderIsNotFound) {
   // The receiver exists but the named sender never registered: an empty
   // channel, not an error class of its own — and nothing may be consumed.
   ASSERT_TRUE(net_->Send("A", "B", "t", "x").ok());
-  EXPECT_EQ(net_->Receive("B", "ghost", "t").status().code(),
+  EXPECT_EQ(net_->Receive("B", "ghost", "t", nullptr).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(net_->PendingCount("B"), 1u);
 }
 
 TEST_P(NetworkTest, ReceiveForUnregisteredReceiverIsNotFound) {
-  EXPECT_EQ(net_->Receive("ghost", "A", "t").status().code(),
+  EXPECT_EQ(net_->Receive("ghost", "A", "t", nullptr).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(net_->Receive("", "A").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(net_->Receive("", "A", "", nullptr).status().code(),
+            StatusCode::kNotFound);
 }
 
 // (ResetStats nonce survival is covered for both backends by the
@@ -170,7 +171,7 @@ TEST(NetworkSecurityTest, EncryptedTapSeesOnlyCiphertext) {
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_EQ(captured[0].wire_bytes.find("secret-value"), std::string::npos);
   // And the legitimate receiver still decrypts.
-  EXPECT_EQ(net.Receive("B", "A", "t")->payload, "secret-value");
+  EXPECT_EQ(net.Receive("B", "A", "t", nullptr)->payload, "secret-value");
 }
 
 TEST(NetworkSecurityTest, IdenticalPayloadsEncryptDifferently) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lint for the ppclust tree.
 
-Enforces four repo rules that neither the compiler nor clang-tidy can
+Enforces three repo rules that neither the compiler nor clang-tidy can
 express, by scanning source text (with comments and string literals
 stripped where a rule is about *code*):
 
@@ -16,11 +16,13 @@ stripped where a rule is about *code*):
       often need bare condvars for test scaffolding.)
 
   R2  receive-on-reactor
-      No blocking ``Receive(`` / ``ReceiveOn(`` calls in files whose
-      code runs on the EventLoop thread (``src/net/event_loop.*`` and
-      ``src/net/tcp_network.cc``). A blocking receive on the reactor
-      would stall every connection's inbound I/O at once; inbound frames
-      must flow through the nonblocking ``Deliver`` path instead.
+      No blocking ``Receive(`` / ``ReceiveOn(`` calls (``ReceiveOn`` is
+      the one receive of ``ppc::Network``, ``Receive`` its default-session
+      wrapper) in files whose code runs on the EventLoop thread
+      (``src/net/event_loop.*`` and ``src/net/tcp_network.cc``). A
+      blocking receive on the reactor would stall every connection's
+      inbound I/O at once; inbound frames must flow through the
+      nonblocking ``Deliver`` path instead.
 
   R3  topic-literals
       Wire-protocol topic strings appear as literals only in
@@ -28,17 +30,6 @@ stripped where a rule is about *code*):
       ``ppc::topics::k*`` constants. A typo'd literal would fail at
       runtime as a kProtocolViolation on some peer; spelled through the
       constants it fails at compile time.
-
-  R4  cancel-guarded-receive
-      Outside the transport layer (``src/net/``), no bare ``Receive(`` /
-      ``ReceiveOn(`` calls: protocol and tool code must go through the
-      ``ReceiveCancellable`` / ``ReceiveOnCancellable`` variants (or a
-      helper built on them) so every blocking receive consults the
-      session's cancel token. A bare receive is a wait that
-      ``CancelSession`` / an armed deadline cannot unwedge — exactly the
-      hang the cancellation machinery exists to prevent. A site with no
-      cancellation source passes an explicit null token; that spelling
-      is the audit trail.
 
 Usage:
   check_source.py [--root DIR]     lint DIR (default: repo root) and
@@ -63,14 +54,8 @@ LOCK_PRIMITIVES = re.compile(
 LOCK_PRIMITIVES_EXEMPT = {"src/common/thread_annotations.h"}
 
 # R2: blocking receives must stay off the reactor thread.
-# (The pattern deliberately does not match ReceiveCancellable /
-# ReceiveOnCancellable — those are the R4-sanctioned spellings.)
 RECEIVE_CALL = re.compile(r"\bReceive(On)?\s*\(")
 REACTOR_FILES = re.compile(r"src/net/(event_loop\.(h|cc)|tcp_network\.cc)$")
-
-# R4: outside the transport layer, every blocking receive goes through
-# the cancellable variants so the session's cancel token is consulted.
-CANCELLABLE_EXEMPT_PREFIX = "src/net/"
 
 # R3: the topic vocabulary, mirrored from src/core/topics.h. Kept as a
 # literal list (not parsed from the header) so renaming a topic without
@@ -183,18 +168,6 @@ def lint_file(rel, text):
                     "receive-on-reactor",
                     "blocking Receive/ReceiveOn in EventLoop-thread code "
                     "would stall every connection's inbound I/O",
-                )
-    elif not rel_posix.startswith(CANCELLABLE_EXEMPT_PREFIX):
-        for lineno, line in enumerate(code_only.splitlines(), 1):
-            if RECEIVE_CALL.search(line):
-                yield (
-                    lineno,
-                    "cancel-guarded-receive",
-                    "bare Receive/ReceiveOn outside src/net/ — use "
-                    "ReceiveCancellable/ReceiveOnCancellable (pass an "
-                    "explicit null token if the site truly has no "
-                    "cancellation source) so CancelSession and armed "
-                    "deadlines can unwedge the wait",
                 )
 
     if rel_posix != TOPICS_HEADER:
